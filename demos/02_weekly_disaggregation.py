@@ -9,7 +9,7 @@ The weekly series reproduces every monthly value exactly at its anchor.
 """
 from datetime import date
 
-from sbsflow import MonthlySeries, build_windows, disaggregate, write_weekly_csv
+from sbsflow import MonthlySeries, build_windows, disaggregate
 from sbsflow.series import month_anchors
 
 windows = build_windows(date(2021, 2, 1), date(2021, 6, 14))
@@ -29,6 +29,3 @@ print("\nweekly values (* marks a monthly anchor):")
 for idx, value in zip(weekly.indices, weekly.values):
     marker = " *" if idx in anchors else ""
     print(f"  window {idx:2d} {windows[idx].start_date} {value:8.3f}{marker}")
-
-write_weekly_csv(weekly, windows, "demo_weekly.csv")
-print("\nweekly series written to demo_weekly.csv")

@@ -49,14 +49,13 @@ from .network import (
     standardize,
     write_edgelist,
 )
-from .pipeline import ConfigError, PipelineError, RunConfig, run_pipeline, validate_config
+from .pipeline import ConfigError, PipelineError, RunConfig, run_pipeline, score_window, validate_config
 from .series import (
     MonthlySeries,
     SeriesError,
     WeeklySeries,
     disaggregate,
     load_monthly,
-    write_weekly_csv,
 )
 from .stemming import ItalianStemmer, NullStemmer, PorterStemmer, get_stemmer
 from .textproc import (

@@ -14,8 +14,6 @@ import sys
 
 from .pipeline import ConfigError, run_pipeline, validate_config
 
-_MODES = {"run": "run", "score": "score", "test": "test"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -53,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg,
             out_dir=args.out,
             workers=getattr(args, "workers", None),
-            stage_mode=_MODES[args.command],
+            stage_mode=args.command,
         )
     except Exception as exc:  # runtime failure: manifest records the stage
         print(f"pipeline failed: {exc}", file=sys.stderr)

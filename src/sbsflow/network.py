@@ -215,12 +215,14 @@ def zscore_params(values: Iterable[float]) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
+def _z(x: float, mu: float, sigma: float) -> float:
+    return 0.0 if sigma == 0.0 else (x - mu) / sigma
+
+
 def standardize(values: Mapping[str, float]) -> dict[str, float]:
     """z = (x - mu) / sigma over all entries; all zeros when sigma is 0."""
     mu, sigma = zscore_params(values.values())
-    if sigma == 0.0:
-        return {k: 0.0 for k in values}
-    return {k: (v - mu) / sigma for k, v in values.items()}
+    return {k: _z(v, mu, sigma) for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -252,24 +254,15 @@ def sbs(
     prev_vals = {t: float(prevalence_map.get(t, 0.0)) for t in graph.nodes}
     div_vals = diversity_all(graph)
     conn_vals = connectivity(graph, edge_length)
-    params = {
-        "prevalence": zscore_params(prev_vals.values()),
-        "diversity": zscore_params(div_vals.values()),
-        "connectivity": zscore_params(conn_vals.values()),
-    }
-
-    def z(dim: str, raw: float) -> float:
-        mu, sigma = params[dim]
-        if sigma == 0.0:
-            return 0.0
-        return (raw - mu) / sigma
-
+    p_params = zscore_params(prev_vals.values())
+    d_params = zscore_params(div_vals.values())
+    c_params = zscore_params(conn_vals.values())
     scores = []
     for kw in keywords:
         p_raw = prev_vals.get(kw, float(prevalence_map.get(kw, 0.0)))
         d_raw = div_vals.get(kw, 0.0)
         c_raw = conn_vals.get(kw, 0.0)
-        zp, zd, zc = z("prevalence", p_raw), z("diversity", d_raw), z("connectivity", c_raw)
+        zp, zd, zc = _z(p_raw, *p_params), _z(d_raw, *d_params), _z(c_raw, *c_params)
         scores.append(
             SbsScore(
                 keyword=kw,

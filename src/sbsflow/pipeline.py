@@ -8,12 +8,16 @@ scheduling never change results.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -38,6 +42,7 @@ __all__ = [
     "PipelineError",
     "validate_config",
     "run_pipeline",
+    "score_window",
     "SCORES_CSV",
     "WEEKLY_CSV",
     "GRANGER_CSV",
@@ -128,14 +133,20 @@ def validate_config(path: str | Path) -> RunConfig:
         p = Path(str(p))
         return p if p.is_absolute() else base / p
 
+    def required_file(name: str, value) -> Path:
+        if value is None:
+            failures.append(f"{name}: required")
+            return base / "missing"
+        p = resolve(value)
+        if not p.is_file():
+            failures.append(f"{name}: file not found: {p}")
+        return p
+
     corpus = data.get("corpus") or {}
-    if not isinstance(corpus, dict) or "path" not in corpus:
-        failures.append("corpus.path: required")
-        corpus_path = base / "missing"
-    else:
-        corpus_path = resolve(corpus["path"])
-        if not corpus_path.is_file():
-            failures.append(f"corpus.path: file not found: {corpus_path}")
+    if not isinstance(corpus, dict):
+        failures.append(f"corpus: must be a mapping, got {corpus!r}")
+        corpus = {}
+    corpus_path = required_file("corpus.path", corpus.get("path"))
     fmt = str(corpus.get("format", "jsonl"))
     if fmt not in ("jsonl", "csv"):
         failures.append(f"corpus.format: must be 'jsonl' or 'csv', got {fmt!r}")
@@ -154,13 +165,7 @@ def validate_config(path: str | Path) -> RunConfig:
     if language not in ("italian", "english", "none"):
         failures.append(f"language: must be 'italian', 'english' or 'none', got {language!r}")
 
-    if "registry" in data:
-        registry_path = resolve(data["registry"])
-    else:
-        failures.append("registry: required")
-        registry_path = base / "missing"
-    if "registry" in data and not registry_path.is_file():
-        failures.append(f"registry: file not found: {registry_path}")
+    registry_path = required_file("registry", data.get("registry"))
 
     if "stopwords" in data:
         stopwords_path = resolve(data["stopwords"])
@@ -171,32 +176,24 @@ def validate_config(path: str | Path) -> RunConfig:
     if not stopwords_path.is_file():
         failures.append(f"stopwords: file not found: {stopwords_path}")
 
-    if "monthly_targets" in data:
-        monthly_path = resolve(data["monthly_targets"])
-        if not monthly_path.is_file():
-            failures.append(f"monthly_targets: file not found: {monthly_path}")
-    else:
-        failures.append("monthly_targets: required")
-        monthly_path = base / "missing"
+    monthly_path = required_file("monthly_targets", data.get("monthly_targets"))
 
-    window_size = int(data.get("window_size", 3))
-    if window_size < 2:
-        failures.append(f"window_size: must be >= 2, got {window_size}")
-    min_edge_weight = int(data.get("min_edge_weight", 1))
-    if min_edge_weight < 1:
-        failures.append(f"min_edge_weight: must be >= 1, got {min_edge_weight}")
+    def integer(name: str, default: int, minimum: int) -> int:
+        # YAML booleans are ints in Python; a config that says `true` is a typo
+        value = data.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            failures.append(f"{name}: expected an integer >= {minimum}, got {value!r}")
+            return default
+        return value
+
+    window_size = integer("window_size", 3, 2)
+    min_edge_weight = integer("min_edge_weight", 1, 1)
+    min_token_len = integer("min_token_len", 2, 1)
+    p_max = integer("p_max", 8, 1)
+    workers = integer("workers", 1, 1)
     edge_length = str(data.get("edge_length", "inverse"))
     if edge_length not in ("inverse", "direct"):
         failures.append(f"edge_length: must be 'inverse' or 'direct', got {edge_length!r}")
-    min_token_len = int(data.get("min_token_len", 2))
-    if min_token_len < 1:
-        failures.append(f"min_token_len: must be >= 1, got {min_token_len}")
-    p_max = int(data.get("p_max", 8))
-    if p_max < 1:
-        failures.append(f"p_max: must be >= 1, got {p_max}")
-    workers = int(data.get("workers", 1))
-    if workers < 1:
-        failures.append(f"workers: must be >= 1, got {workers}")
 
     start = _as_date(data.get("start_date"), failures, "start_date")
     end = _as_date(data.get("end_date"), failures, "end_date")
@@ -261,19 +258,21 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 # Per-window scoring, parallel over windows.
 # ---------------------------------------------------------------------------
 
-_CTX: dict = {}
 
+def score_window(
+    docs: list[tuple[str, str]],
+    window_index: int,
+    text_cfg: textproc.TextConfig,
+    keywords: list[str],
+    *,
+    min_edge_weight: int,
+    edge_length: str,
+) -> list[SbsScore]:
+    """Score ``keywords`` on one window's ``(doc_id, text)`` documents.
 
-def _init_worker(text_cfg, keywords, min_edge_weight, edge_length) -> None:
-    _CTX["text_cfg"] = text_cfg
-    _CTX["keywords"] = keywords
-    _CTX["min_edge_weight"] = min_edge_weight
-    _CTX["edge_length"] = edge_length
-
-
-def _score_window(payload: tuple[int, list[tuple[str, str]]]) -> tuple[int, list[SbsScore]]:
-    window_index, docs = payload
-    text_cfg = _CTX["text_cfg"]
+    A pure function of its arguments, so windows can be scored in any
+    process and order.
+    """
     sequences = [textproc.normalize_document(doc_id, text, text_cfg) for doc_id, text in docs]
     prev = network.prevalence(sequences)
     records = textproc.merge_cooccurrences(
@@ -281,12 +280,11 @@ def _score_window(payload: tuple[int, list[tuple[str, str]]]) -> tuple[int, list
     )
     graph = network.build_graph(
         records,
-        min_edge_weight=_CTX["min_edge_weight"],
+        min_edge_weight=min_edge_weight,
         extra_nodes=prev.keys(),
         window_index=window_index,
     )
-    scores = network.sbs(graph, prev, _CTX["keywords"], edge_length=_CTX["edge_length"])
-    return window_index, scores
+    return network.sbs(graph, prev, keywords, edge_length=edge_length)
 
 
 def _score_windows(
@@ -296,23 +294,25 @@ def _score_windows(
     cfg: RunConfig,
     workers: int,
 ) -> dict[int, list[SbsScore]]:
-    payloads = []
-    for w in assignment.windows:
-        docs = [
-            (d.id, d.text(cfg.include_title)) for d in assignment.by_window[w.index]
-        ]
-        payloads.append((w.index, docs))
-    initargs = (text_cfg, keywords, cfg.min_edge_weight, cfg.edge_length)
+    indices = [w.index for w in assignment.windows]
+    docs = [
+        [(d.id, d.text(cfg.include_title)) for d in assignment.by_window[idx]]
+        for idx in indices
+    ]
+    score = partial(
+        score_window,
+        text_cfg=text_cfg,
+        keywords=keywords,
+        min_edge_weight=cfg.min_edge_weight,
+        edge_length=cfg.edge_length,
+    )
     if workers <= 1:
-        _init_worker(*initargs)
-        results = [_score_window(p) for p in payloads]
+        results = list(map(score, docs, indices))
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=initargs
-        ) as pool:
-            results = list(pool.map(_score_window, payloads))
-    # merge in fixed window order regardless of scheduling
-    return {idx: scores for idx, scores in sorted(results)}
+        # map returns results in window order regardless of scheduling
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(score, docs, indices))
+    return dict(zip(indices, results))
 
 
 # ---------------------------------------------------------------------------
@@ -326,72 +326,78 @@ def _fmt6(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _write_scores_csv(path: Path, windows, scores_by_window: dict[int, list[SbsScore]]) -> None:
-    starts = {w.index: w.start_date.isoformat() for w in windows}
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            "window_index,week_start,keyword,prevalence_raw,diversity_raw,"
-            "connectivity_raw,z_prevalence,z_diversity,z_connectivity,sbs\n"
-        )
-        for idx in sorted(scores_by_window):
-            for s in sorted(scores_by_window[idx], key=lambda s: s.keyword):
-                fh.write(
-                    f"{idx},{starts[idx]},{s.keyword},{s.prevalence_raw:g},"
-                    f"{s.diversity_raw!r},{s.connectivity_raw!r},"
-                    f"{s.z_prevalence!r},{s.z_diversity!r},{s.z_connectivity!r},{s.sbs!r}\n"
-                )
+@contextmanager
+def _replacing(path: Path):
+    """Write to ``<path>.tmp`` and move it onto ``path`` only once complete,
+    so a reader never sees a half-written artifact."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def _write_weekly_csv(path: Path, windows, weekly: list[WeeklySeries]) -> None:
-    starts = {w.index: w.start_date.isoformat() for w in windows}
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("series,window_index,week_start,value\n")
-        for s in weekly:
-            for idx, value in zip(s.indices, s.values):
-                fh.write(f"{s.name},{idx},{starts[idx]},{value!r}\n")
+def _write_csv(path: Path, rows, caveat: bool = False) -> Path:
+    """Write ``rows`` (header first, cells preformatted) as one CSV artifact."""
+    with _replacing(path) as fh:
+        if caveat:
+            fh.write(f"# caveat: {CAVEAT}\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
 
 
-def _write_granger_csv(path: Path, results) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# caveat: {CAVEAT}\n")
-        fh.write("keyword,target,lags,f_stat,p_value,stars,cc_sign,status\n")
-        for r in results:
-            lags = "" if r.lags is None else str(r.lags)
-            f_stat = "" if r.f_stat is None else _fmt6(r.f_stat)
-            p_value = "" if r.p_value is None else _fmt6(r.p_value)
-            status = r.status.replace(",", ";").replace("\n", " ")
-            fh.write(
-                f"{r.keyword},{r.target},{lags},{f_stat},{p_value},{r.stars},{r.cc_sign},{status}\n"
-            )
+# the score dump's numeric columns, in SbsScore field order
+_SCORE_COLUMNS = (
+    "prevalence_raw", "diversity_raw", "connectivity_raw",
+    "z_prevalence", "z_diversity", "z_connectivity", "sbs",
+)
 
 
-def _write_questions_csv(path: Path, results, questions: list[str]) -> None:
+def _scores_rows(starts: dict[int, str], scores_by_window: dict[int, list[SbsScore]]):
+    yield ["window_index", "week_start", "keyword", *_SCORE_COLUMNS]
+    for idx in sorted(scores_by_window):
+        for s in sorted(scores_by_window[idx], key=lambda s: s.keyword):
+            raw = [getattr(s, c) for c in _SCORE_COLUMNS]
+            yield [idx, starts[idx], s.keyword, format(raw[0], "g"), *map(repr, raw[1:])]
+
+
+def _weekly_rows(starts: dict[int, str], weekly: list[WeeklySeries]):
+    yield ["series", "window_index", "week_start", "value"]
+    for s in weekly:
+        for idx, value in zip(s.indices, s.values):
+            yield [s.name, idx, starts[idx], repr(value)]
+
+
+def _granger_rows(results):
+    yield ["keyword", "target", "lags", "f_stat", "p_value", "stars", "cc_sign", "status"]
+    for r in results:
+        f_stat, p_value = ("" if v is None else _fmt6(v) for v in (r.f_stat, r.p_value))
+        status = r.status.replace(",", ";").replace("\n", " ")
+        # csv.writer writes a None lag count as an empty cell
+        yield [r.keyword, r.target, r.lags, f_stat, p_value, r.stars, r.cc_sign, status]
+
+
+def _questions_rows(results, questions: list[str]):
     by_pair = {(r.keyword, r.target): r for r in results}
-    keywords = sorted({r.keyword for r in results})
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# caveat: {CAVEAT}\n")
-        fh.write("keyword," + ",".join(questions) + "\n")
-        for kw in keywords:
-            cells = []
-            for q in questions:
-                r = by_pair.get((kw, q))
-                if r is None or r.f_stat is None:
-                    cells.append("NA")
-                else:
-                    cells.append(f"{_fmt6(r.f_stat)}{r.stars}")
-            fh.write(f"{kw}," + ",".join(cells) + "\n")
+    # an empty trailing cell keeps the header "keyword," when no questions are set
+    yield ["keyword", *(questions or [""])]
+    for kw in sorted({r.keyword for r in results}):
+        cells = []
+        for q in questions:
+            r = by_pair.get((kw, q))
+            cells.append("NA" if r is None or r.f_stat is None else f"{_fmt6(r.f_stat)}{r.stars}")
+        yield [kw, *cells]
 
 
-def _write_plot_csv(path: Path, windows, sbs_series, targets) -> None:
-    starts = {w.index: w.start_date.isoformat() for w in windows}
+def _plot_rows(starts: dict[int, str], sbs_series, targets):
     cols = [(f"sbs:{s.name}", dict(zip(s.indices, s.values))) for s in sbs_series]
     cols += [(f"target:{t.name}", dict(zip(t.indices, t.values))) for t in targets]
     grid = sorted(set.intersection(*(set(c[1]) for c in cols))) if cols else []
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("window_index,week_start," + ",".join(name for name, _ in cols) + "\n")
-        for idx in grid:
-            row = ",".join(repr(values[idx]) for _, values in cols)
-            fh.write(f"{idx},{starts[idx]},{row}\n")
+    yield ["window_index", "week_start", *(name for name, _ in cols)]
+    for idx in grid:
+        yield [idx, starts[idx], *(repr(values[idx]) for _, values in cols)]
 
 
 def _sha256(path: Path) -> str:
@@ -481,14 +487,13 @@ def run_pipeline(
         )
         clock.stop()
 
-        windows = None
-        scores_by_window: dict[int, list[SbsScore]] = {}
+        windows = build_windows(cfg.start_date, cfg.end_date)
+        starts = {w.index: w.start_date.isoformat() for w in windows}
         if stage_mode in ("run", "score"):
             clock.start("ingest")
             report = IngestReport()
             docs = list(load_corpus(cfg.corpus_path, cfg.ingest, report))
             assignment = assign_windows(docs, cfg.start_date, cfg.end_date)
-            windows = assignment.windows
             manifest["corpus"] = {
                 "records": report.records,
                 "loaded": report.loaded,
@@ -511,12 +516,9 @@ def run_pipeline(
             clock.stop()
 
             clock.start("write_scores")
-            scores_path = out / SCORES_CSV
-            _write_scores_csv(scores_path, windows, scores_by_window)
-            artifacts.append(scores_path)
+            artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(starts, scores_by_window)))
             clock.stop()
         else:
-            windows = build_windows(cfg.start_date, cfg.end_date)
             clock.start("read_scores")
             scores_path = out / SCORES_CSV
             if not scores_path.is_file():
@@ -542,9 +544,7 @@ def run_pipeline(
                 if m.name in set(wanted)
             ]
             weekly_by_name = {w.name: w for w in weekly}
-            weekly_path = out / WEEKLY_CSV
-            _write_weekly_csv(weekly_path, windows, weekly)
-            artifacts.append(weekly_path)
+            artifacts.append(_write_csv(out / WEEKLY_CSV, _weekly_rows(starts, weekly)))
             clock.stop()
 
             clock.start("causality")
@@ -562,52 +562,37 @@ def run_pipeline(
             clock.stop()
 
             clock.start("write_tables")
-            t1 = out / GRANGER_CSV
-            _write_granger_csv(t1, main_rows)
-            artifacts.append(t1)
-            t2 = out / QUESTIONS_CSV
-            _write_questions_csv(t2, question_rows, cfg.question_targets)
-            artifacts.append(t2)
-            plot = out / PLOT_CSV
-            _write_plot_csv(plot, windows, sbs_series, climate + questions)
-            artifacts.append(plot)
+            artifacts.append(_write_csv(out / GRANGER_CSV, _granger_rows(main_rows), caveat=True))
+            question_table = _questions_rows(question_rows, cfg.question_targets)
+            artifacts.append(_write_csv(out / QUESTIONS_CSV, question_table, caveat=True))
+            plot_table = _plot_rows(starts, sbs_series, climate + questions)
+            artifacts.append(_write_csv(out / PLOT_CSV, plot_table))
             clock.stop()
     except Exception:
         if clock.current is not None:
             manifest["failed_stage"] = clock.current
             clock.stop()
         manifest["status"] = "failed"
-        manifest["stages"] = clock.timings
-        manifest["artifacts"] = [
-            {"path": p.name, "sha256": _sha256(p)} for p in artifacts if p.is_file()
-        ]
-        (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        _write_manifest(out, manifest, clock.timings, artifacts)
         raise
-    manifest["stages"] = clock.timings
-    manifest["artifacts"] = [{"path": p.name, "sha256": _sha256(p)} for p in artifacts]
-    (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _write_manifest(out, manifest, clock.timings, artifacts)
     return manifest
+
+
+def _write_manifest(out: Path, manifest: dict, stages: list[dict], artifacts: list[Path]) -> None:
+    """Complete the manifest with stage timings and artifact hashes and write it."""
+    manifest["stages"] = stages
+    manifest["artifacts"] = [{"path": p.name, "sha256": _sha256(p)} for p in artifacts]
+    with _replacing(out / MANIFEST_JSON) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _read_scores_csv(path: Path) -> dict[int, list[SbsScore]]:
     """Parse a score dump back into per-window score lists."""
-    import csv as _csv
-
     scores: dict[int, list[SbsScore]] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
-        for row in _csv.DictReader(fh):
+        for row in csv.DictReader(fh):
             idx = int(row["window_index"])
-            scores.setdefault(idx, []).append(
-                SbsScore(
-                    keyword=row["keyword"],
-                    window=idx,
-                    prevalence_raw=float(row["prevalence_raw"]),
-                    diversity_raw=float(row["diversity_raw"]),
-                    connectivity_raw=float(row["connectivity_raw"]),
-                    z_prevalence=float(row["z_prevalence"]),
-                    z_diversity=float(row["z_diversity"]),
-                    z_connectivity=float(row["z_connectivity"]),
-                    sbs=float(row["sbs"]),
-                )
-            )
+            values = {c: float(row[c]) for c in _SCORE_COLUMNS}
+            scores.setdefault(idx, []).append(SbsScore(keyword=row["keyword"], window=idx, **values))
     return scores

@@ -25,7 +25,6 @@ __all__ = [
     "load_monthly",
     "month_anchors",
     "disaggregate",
-    "write_weekly_csv",
 ]
 
 
@@ -55,9 +54,6 @@ class WeeklySeries:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def asarray(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 def _next_month(d: date) -> date:
@@ -163,11 +159,3 @@ def disaggregate(
         values=tuple(float(v) for v in weekly),
     )
 
-
-def write_weekly_csv(series: WeeklySeries, windows: list[TimeWindow], path: str | Path) -> None:
-    """Dump one weekly series as ``window_index,week_start,value`` rows."""
-    starts = {w.index: w.start_date for w in windows}
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write("window_index,week_start,value\n")
-        for idx, value in zip(series.indices, series.values):
-            fh.write(f"{idx},{starts[idx].isoformat()},{value!r}\n")

@@ -19,20 +19,14 @@ settings.load_profile("ci")
 
 from sbsflow.corpus import assign_windows, load_corpus  # noqa: E402
 from sbsflow.keywords import compile_canonical_map, parse_registry  # noqa: E402
-from sbsflow.network import build_graph, prevalence, sbs  # noqa: E402
-from sbsflow.pipeline import load_stopwords  # noqa: E402
+from sbsflow.pipeline import load_stopwords, score_window  # noqa: E402
 from sbsflow.series import WeeklySeries  # noqa: E402
 from sbsflow.stemming import get_stemmer  # noqa: E402
-from sbsflow.textproc import (  # noqa: E402
-    TextConfig,
-    merge_cooccurrences,
-    normalize_document,
-    sequence_cooccurrences,
-)
+from sbsflow.textproc import TextConfig  # noqa: E402
 
 
 def score_fixture(fx, language="english", stopwords_path=None):
-    """Score a synthetic fixture through the library, one call per window.
+    """Score a synthetic fixture with ``score_window``, one call per window.
 
     Returns (windows, {keyword: WeeklySeries of composite scores}).
     """
@@ -56,13 +50,11 @@ def score_fixture(fx, language="english", stopwords_path=None):
     labels = sorted(s.label for s in sets)
     per_kw: dict[str, list[float]] = {kw: [] for kw in labels}
     for w in assignment.windows:
-        seqs = [
-            normalize_document(d.id, d.text(), cfg) for d in assignment.by_window[w.index]
-        ]
-        prev = prevalence(seqs)
-        records = merge_cooccurrences(sequence_cooccurrences(s, cfg.window_size) for s in seqs)
-        graph = build_graph(records, extra_nodes=prev.keys(), window_index=w.index)
-        for score in sbs(graph, prev, labels):
+        window_docs = [(d.id, d.text()) for d in assignment.by_window[w.index]]
+        scores = score_window(
+            window_docs, w.index, cfg, labels, min_edge_weight=1, edge_length="inverse"
+        )
+        for score in scores:
             per_kw[score.keyword].append(score.sbs)
     n = len(assignment.windows)
     out = {

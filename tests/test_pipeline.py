@@ -4,7 +4,9 @@ import csv
 import json
 
 import pytest
+import yaml
 
+from sbsflow import pipeline
 from sbsflow.cli import main as cli_main
 from sbsflow.pipeline import (
     MANIFEST_JSON,
@@ -20,13 +22,15 @@ from sbsflow.pipeline import (
 )
 from sbsflow.synthetic import make_fixture
 
+from conftest import score_fixture
+
 ARTIFACTS = [SCORES_CSV, WEEKLY_CSV, GRANGER_CSV, QUESTIONS_CSV, PLOT_CSV]
+# integer config fields and their minimum values
+INTEGER_FIELDS = {"window_size": 2, "min_edge_weight": 1, "min_token_len": 1, "p_max": 1, "workers": 1}
 
 
-def _rewritten_config(fixture, corpus=None, out=None) -> str:
+def _rewritten_config(fixture, corpus=None, out=None, **overrides) -> str:
     """Fixture config with absolute paths, optionally pointing elsewhere."""
-    import yaml
-
     conf = yaml.safe_load(fixture.config_path.read_text())
     base = fixture.config_path.parent
     conf["corpus"]["path"] = str(corpus if corpus else base / conf["corpus"]["path"])
@@ -34,6 +38,7 @@ def _rewritten_config(fixture, corpus=None, out=None) -> str:
     conf["monthly_targets"] = str(base / conf["monthly_targets"])
     if out is not None:
         conf["output_dir"] = str(out)
+    conf.update(overrides)
     return yaml.safe_dump(conf)
 
 
@@ -87,6 +92,36 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(tmp_path / "none.yaml")
 
+    def test_non_mapping_corpus_section_reported(self, fixture, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        conf = yaml.safe_load(_rewritten_config(fixture))
+        conf["corpus"] = "corpus.jsonl"
+        bad.write_text(yaml.safe_dump(conf))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.failures == [
+            "corpus: must be a mapping, got 'corpus.jsonl'",
+            "corpus.path: required",
+        ]
+
+    @pytest.mark.parametrize("value", ["abc", 2.9, True])
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    def test_integer_field_rejects_non_integer(self, fixture, tmp_path, name, value):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(_rewritten_config(fixture, **{name: value}))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.failures == [f"{name}: expected an integer >= {INTEGER_FIELDS[name]}, got {value!r}"]
+
+    @pytest.mark.parametrize("value", ["abc", 2.9, True])
+    def test_all_bad_integer_fields_listed_together(self, fixture, tmp_path, value):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(_rewritten_config(fixture, **{name: value for name in INTEGER_FIELDS}))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        named = [f.split(":")[0] for f in err.value.failures]
+        assert named == list(INTEGER_FIELDS)
+
 
 class TestRunPipeline:
     def test_all_artifacts_present_with_expected_rows(self, completed_run):
@@ -113,6 +148,64 @@ class TestRunPipeline:
         for entry in manifest["artifacts"]:
             digest = hashlib.sha256((cfg.output_dir / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_no_temporary_files_left(self, completed_run):
+        _, cfg, _ = completed_run
+        assert list(cfg.output_dir.glob("*.tmp")) == []
+
+    def test_failed_write_keeps_previous_artifact(self, fixture, tmp_path, monkeypatch):
+        cfg = validate_config(fixture.config_path)
+        run_pipeline(cfg, out_dir=tmp_path)
+        before = (tmp_path / PLOT_CSV).read_bytes()
+
+        def torn_rows(*args):
+            yield ["window_index", "week_start"]
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(pipeline, "_plot_rows", torn_rows)
+        with pytest.raises(RuntimeError):
+            run_pipeline(cfg, out_dir=tmp_path)
+        assert (tmp_path / PLOT_CSV).read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+        manifest = json.loads((tmp_path / MANIFEST_JSON).read_text())
+        assert manifest["failed_stage"] == "write_tables"
+        assert PLOT_CSV not in {a["path"] for a in manifest["artifacts"]}
+
+    def test_score_fixture_matches_score_dump(self, completed_run):
+        fixture, cfg, _ = completed_run
+        _, series_by_kw = score_fixture(fixture)
+        helper = {
+            (kw, idx): repr(value)
+            for kw, s in series_by_kw.items()
+            for idx, value in zip(s.indices, s.values)
+        }
+        with (cfg.output_dir / SCORES_CSV).open() as fh:
+            dumped = {(row["keyword"], int(row["window_index"])): row["sbs"] for row in csv.DictReader(fh)}
+        assert helper == dumped
+
+    def test_series_name_with_comma_is_quoted(self, tmp_path):
+        fx = make_fixture(tmp_path / "fx", seed=5)
+        fx.monthly_path.write_text(
+            fx.monthly_path.read_text().replace("personal", '"cons, conf"', 1)
+        )
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            _rewritten_config(fx, out=tmp_path / "out", climate_targets=["climate", "cons, conf"])
+        )
+        run_pipeline(validate_config(config))
+        tables = {}
+        for name in (WEEKLY_CSV, GRANGER_CSV, PLOT_CSV):
+            with (tmp_path / "out" / name).open(newline="") as fh:
+                rows = [row for row in csv.reader(fh) if not row[0].startswith("# caveat")]
+            assert {len(row) for row in rows} == {len(rows[0])}, name
+            tables[name] = rows
+        weekly = tables[WEEKLY_CSV]
+        assert weekly[0] == ["series", "window_index", "week_start", "value"]
+        first = next(row for row in weekly if row[0] == "cons, conf")
+        assert first[1:3] == ["0", "2021-01-04"]
+        assert repr(float(first[3])) == first[3]
+        assert {row[1] for row in tables[GRANGER_CSV][1:]} == {"climate", "cons, conf"}
+        assert "target:cons, conf" in tables[PLOT_CSV][0]
 
     def test_scores_csv_decomposition_bit_for_bit(self, completed_run):
         _, cfg, _ = completed_run

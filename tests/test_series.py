@@ -16,7 +16,6 @@ from sbsflow.series import (
     disaggregate,
     load_monthly,
     month_anchors,
-    write_weekly_csv,
 )
 
 
@@ -165,17 +164,6 @@ class TestDisaggregate:
         by_idx = dict(zip(weekly.indices, weekly.values))
         for anchor, value in zip(anchors, values):
             assert by_idx[anchor] == pytest.approx(value, abs=1e-9)
-
-
-def test_write_weekly_csv(tmp_path):
-    windows = build_windows(date(2021, 2, 1), date(2021, 2, 22))
-    s = WeeklySeries(name="climate", indices=(0, 1, 2), values=(1.0, 2.5, 3.25))
-    path = tmp_path / "weekly.csv"
-    write_weekly_csv(s, windows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "window_index,week_start,value"
-    assert lines[1] == "0,2021-02-01,1.0"
-    assert lines[2] == "1,2021-02-08,2.5"
 
 
 def test_not_a_knot_boundary_also_interpolates():

@@ -216,9 +216,9 @@ def cross_correlation_sign(y: np.ndarray, x: np.ndarray, max_lag: int) -> CrossC
     return best
 
 
-def assign_stars(p_value: float, thresholds: tuple[float, float, float] = DEFAULT_THRESHOLDS) -> str:
-    """Significance stars; thresholds are (weak, medium, strong), decreasing."""
-    weak, medium, strong = thresholds
+def assign_stars(p_value: float) -> str:
+    """Significance stars at the (weak, medium, strong) ``DEFAULT_THRESHOLDS``."""
+    weak, medium, strong = DEFAULT_THRESHOLDS
     if p_value < strong:
         return "***"
     if p_value < medium:
@@ -250,17 +250,13 @@ def run_battery(
     sbs_series: list[WeeklySeries],
     targets: list[WeeklySeries],
     p_max: int = 8,
-    thresholds: tuple[float, float, float] = DEFAULT_THRESHOLDS,
-    reverse: bool = False,
-    difference: bool = False,
 ) -> list[GrangerResult]:
     """Test every (keyword, target) pair on the common window grid.
 
     Pairs whose test fails (constant series, degenerate fits) are reported
     with the reason in ``status`` rather than dropped. Results come back
-    ordered by (keyword, target). ``reverse`` tests target -> keyword
-    instead of the default keyword -> target; ``difference`` first-
-    differences all series before testing (default: levels).
+    ordered by (keyword, target). Each pair tests keyword -> target on
+    levels.
     """
     if not sbs_series or not targets:
         raise ValueError("need at least one keyword series and one target series")
@@ -270,18 +266,14 @@ def run_battery(
 
     def on_grid(s: WeeklySeries) -> np.ndarray:
         by_idx = dict(zip(s.indices, s.values))
-        vec = np.asarray([by_idx[i] for i in grid], dtype=float)
-        return np.diff(vec) if difference else vec
+        return np.asarray([by_idx[i] for i in grid], dtype=float)
 
     keyword_vecs = {s.name: on_grid(s) for s in sbs_series}
     target_vecs = {t.name: on_grid(t) for t in targets}
     results = []
     for kw in sorted(keyword_vecs):
         for target in sorted(target_vecs):
-            if reverse:
-                y, x = keyword_vecs[kw], target_vecs[target]
-            else:
-                y, x = target_vecs[target], keyword_vecs[kw]
+            y, x = target_vecs[target], keyword_vecs[kw]
             try:
                 p = select_lag_bic(y, x, p_max)
                 f_stat, p_value = granger_test(y, x, p)
@@ -301,7 +293,7 @@ def run_battery(
                     lags=p,
                     f_stat=f_stat,
                     p_value=p_value,
-                    stars=assign_stars(p_value, thresholds),
+                    stars=assign_stars(p_value),
                     cc_sign=cc.sign,
                     status="ok",
                 )

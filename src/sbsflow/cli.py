@@ -38,6 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        print(f"--workers: expected an integer >= 1, got {workers!r}", file=sys.stderr)
+        return 1
     try:
         cfg = validate_config(args.config)
     except ConfigError as exc:
@@ -50,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         manifest = run_pipeline(
             cfg,
             out_dir=args.out,
-            workers=getattr(args, "workers", None),
+            workers=workers,
             stage_mode=args.command,
         )
     except Exception as exc:  # runtime failure: manifest records the stage

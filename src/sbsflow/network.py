@@ -139,19 +139,11 @@ def diversity_all(graph: WordGraph) -> dict[str, float]:
     return {t: diversity(graph, t) for t in graph.nodes}
 
 
-def _edge_length(weight: float, mode: str) -> float:
-    if mode == "inverse":
-        return 1.0 / weight
-    if mode == "direct":
-        return weight
-    raise ValueError(f"unknown edge length mode {mode!r}")
-
-
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= PATH_TIE_RTOL * max(abs(a), abs(b))
 
 
-def connectivity(graph: WordGraph, edge_length: str = "inverse") -> dict[str, float]:
+def connectivity(graph: WordGraph) -> dict[str, float]:
     """Weighted betweenness of every node via Brandes' accumulation.
 
     For each node i, the sum over connected pairs j < k (both != i) of the
@@ -162,10 +154,7 @@ def connectivity(graph: WordGraph, edge_length: str = "inverse") -> dict[str, fl
     """
     n = graph.n
     score = [0.0] * n
-    lengths = [
-        tuple((j, _edge_length(w, edge_length)) for j, w in nbrs)
-        for nbrs in graph.adj
-    ]
+    lengths = [tuple((j, 1.0 / w) for j, w in nbrs) for nbrs in graph.adj]
     for s in range(n):
         dist = [math.inf] * n
         sigma = [0.0] * n
@@ -244,7 +233,6 @@ def sbs(
     graph: WordGraph,
     prevalence_map: Mapping[str, float],
     keywords: list[str],
-    edge_length: str = "inverse",
 ) -> list[SbsScore]:
     """Score keywords against the window's full node distribution.
 
@@ -253,7 +241,7 @@ def sbs(
     """
     prev_vals = {t: float(prevalence_map.get(t, 0.0)) for t in graph.nodes}
     div_vals = diversity_all(graph)
-    conn_vals = connectivity(graph, edge_length)
+    conn_vals = connectivity(graph)
     p_params = zscore_params(prev_vals.values())
     d_params = zscore_params(div_vals.values())
     c_params = zscore_params(conn_vals.values())

@@ -89,15 +89,12 @@ class RunConfig:
     language: str = "italian"
     window_size: int = 3
     min_edge_weight: int = 1
-    edge_length: str = "inverse"
-    sentence_split: bool = True
     min_token_len: int = 2
     start_date: date = date(2017, 1, 2)
     end_date: date = date(2020, 8, 31)
     climate_targets: list[str] = field(default_factory=list)
     question_targets: list[str] = field(default_factory=list)
     p_max: int = 8
-    star_thresholds: tuple[float, float, float] = causality.DEFAULT_THRESHOLDS
     workers: int = 1
     config_bytes: bytes = b""
 
@@ -112,6 +109,35 @@ def _as_date(value, failures: list[str], name: str) -> date | None:
     except (TypeError, ValueError):
         failures.append(f"{name}: expected YYYY-MM-DD date, got {value!r}")
         return None
+
+
+# keys validate_config reads; every other key is refused
+_TOP_KEYS = frozenset({
+    "corpus", "registry", "stopwords", "language", "window_size", "min_edge_weight",
+    "min_token_len", "start_date", "end_date", "monthly_targets", "climate_targets",
+    "question_targets", "p_max", "output_dir", "workers",
+})
+_CORPUS_KEYS = frozenset({"path", "format", "fields", "date_format", "include_title"})
+_FIELD_KEYS = frozenset({"id", "date", "title", "body", "source"})
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(t, str) for t in v)
+
+
+def _is_str_mapping(v) -> bool:
+    return isinstance(v, dict) and all(isinstance(t, str) for t in v.values())
+
+
+def _is_file(p: Path) -> bool:
+    try:
+        return p.is_file()
+    except OSError:  # e.g. a name too long for the file system
+        return False
 
 
 def validate_config(path: str | Path) -> RunConfig:
@@ -129,93 +155,95 @@ def validate_config(path: str | Path) -> RunConfig:
     base = path.parent
     failures: list[str] = []
 
-    def resolve(p) -> Path:
-        p = Path(str(p))
+    def unknown_keys(section: dict, known: frozenset[str], prefix: str = "") -> None:
+        failures.extend(f"{prefix}{key}: unknown key" for key in section if key not in known)
+
+    def value(section: dict, key: str, default, ok, expected: str, prefix: str = ""):
+        # an absent key takes the default; a present one must pass ``ok``
+        if key not in section:
+            return default
+        v = section[key]
+        if ok(v):
+            return v
+        failures.append(f"{prefix}{key}: expected {expected}, got {v!r}")
+        return default
+
+    def resolve(p: str) -> Path:
+        p = Path(p)
         return p if p.is_absolute() else base / p
 
-    def required_file(name: str, value) -> Path:
-        if value is None:
-            failures.append(f"{name}: required")
+    def required_file(section: dict, key: str, prefix: str = "") -> Path:
+        p = value(section, key, None, _is_str, "a string", prefix)
+        if p is None:
+            if key not in section:
+                failures.append(f"{prefix}{key}: required")
             return base / "missing"
-        p = resolve(value)
-        if not p.is_file():
-            failures.append(f"{name}: file not found: {p}")
+        p = resolve(p)
+        if not _is_file(p):
+            failures.append(f"{prefix}{key}: file not found: {p}")
         return p
 
+    unknown_keys(data, _TOP_KEYS)
     corpus = data.get("corpus") or {}
     if not isinstance(corpus, dict):
         failures.append(f"corpus: must be a mapping, got {corpus!r}")
         corpus = {}
-    corpus_path = required_file("corpus.path", corpus.get("path"))
+    unknown_keys(corpus, _CORPUS_KEYS, "corpus.")
+    corpus_path = required_file(corpus, "path", "corpus.")
     fmt = str(corpus.get("format", "jsonl"))
     if fmt not in ("jsonl", "csv"):
         failures.append(f"corpus.format: must be 'jsonl' or 'csv', got {fmt!r}")
-    fields = corpus.get("fields") or {}
+    fields = value(corpus, "fields", {}, _is_str_mapping, "a mapping of strings", "corpus.")
+    unknown_keys(fields, _FIELD_KEYS, "corpus.fields.")
     ingest = IngestConfig(
         format=fmt if fmt in ("jsonl", "csv") else "jsonl",
-        id_field=str(fields.get("id", "id")),
-        date_field=str(fields.get("date", "date")),
-        title_field=str(fields.get("title", "title")),
-        body_field=str(fields.get("body", "body")),
-        source_field=str(fields.get("source", "source")),
-        date_format=str(corpus.get("date_format", "%Y-%m-%d")),
+        id_field=fields.get("id", "id"),
+        date_field=fields.get("date", "date"),
+        title_field=fields.get("title", "title"),
+        body_field=fields.get("body", "body"),
+        source_field=fields.get("source", "source"),
+        date_format=value(corpus, "date_format", "%Y-%m-%d", _is_str, "a string", "corpus."),
+    )
+    include_title = value(
+        corpus, "include_title", True, lambda v: isinstance(v, bool), "true or false", "corpus."
     )
 
-    language = str(data.get("language", "italian")).lower()
+    language = value(data, "language", "italian", _is_str, "a string").lower()
     if language not in ("italian", "english", "none"):
         failures.append(f"language: must be 'italian', 'english' or 'none', got {language!r}")
 
-    registry_path = required_file("registry", data.get("registry"))
+    registry_path = required_file(data, "registry")
 
-    if "stopwords" in data:
-        stopwords_path = resolve(data["stopwords"])
-    else:
-        stopwords_path = fixture_path(
-            "stopwords_it.txt" if language == "italian" else "stopwords_en.txt"
-        )
-    if not stopwords_path.is_file():
+    packaged = "stopwords_it.txt" if language == "italian" else "stopwords_en.txt"
+    stopwords = value(data, "stopwords", None, _is_str, "a string")
+    stopwords_path = fixture_path(packaged) if stopwords is None else resolve(stopwords)
+    if not _is_file(stopwords_path):
         failures.append(f"stopwords: file not found: {stopwords_path}")
 
-    monthly_path = required_file("monthly_targets", data.get("monthly_targets"))
+    monthly_path = required_file(data, "monthly_targets")
 
     def integer(name: str, default: int, minimum: int) -> int:
         # YAML booleans are ints in Python; a config that says `true` is a typo
-        value = data.get(name, default)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            failures.append(f"{name}: expected an integer >= {minimum}, got {value!r}")
-            return default
-        return value
+        return value(
+            data, name, default,
+            lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+            f"an integer >= {minimum}",
+        )
 
     window_size = integer("window_size", 3, 2)
     min_edge_weight = integer("min_edge_weight", 1, 1)
     min_token_len = integer("min_token_len", 2, 1)
     p_max = integer("p_max", 8, 1)
     workers = integer("workers", 1, 1)
-    edge_length = str(data.get("edge_length", "inverse"))
-    if edge_length not in ("inverse", "direct"):
-        failures.append(f"edge_length: must be 'inverse' or 'direct', got {edge_length!r}")
 
     start = _as_date(data.get("start_date"), failures, "start_date")
     end = _as_date(data.get("end_date"), failures, "end_date")
     if start is not None and end is not None and start >= end:
         failures.append(f"start_date: {start} must precede end_date {end}")
 
-    thresholds = data.get("star_thresholds", list(causality.DEFAULT_THRESHOLDS))
-    try:
-        thresholds = tuple(float(t) for t in thresholds)
-    except (TypeError, ValueError):
-        failures.append(f"star_thresholds: expected three numbers, got {thresholds!r}")
-        thresholds = causality.DEFAULT_THRESHOLDS
-    if len(thresholds) != 3:
-        failures.append(f"star_thresholds: expected exactly three values, got {len(thresholds)}")
-        thresholds = causality.DEFAULT_THRESHOLDS
-    elif not (thresholds[0] > thresholds[1] > thresholds[2] > 0):
-        failures.append(
-            f"star_thresholds: must be strictly decreasing and positive, got {list(thresholds)}"
-        )
-
-    climate = [str(t) for t in (data.get("climate_targets") or [])]
-    questions = [str(t) for t in (data.get("question_targets") or [])]
+    climate = value(data, "climate_targets", [], _is_str_list, "a list of strings")
+    questions = value(data, "question_targets", [], _is_str_list, "a list of strings")
+    output_dir = value(data, "output_dir", "out", _is_str, "a string")
 
     if failures:
         raise ConfigError(failures)
@@ -224,21 +252,18 @@ def validate_config(path: str | Path) -> RunConfig:
         registry_path=registry_path,
         stopwords_path=stopwords_path,
         monthly_path=monthly_path,
-        output_dir=resolve(data.get("output_dir", "out")),
+        output_dir=resolve(output_dir),
         ingest=ingest,
-        include_title=bool(corpus.get("include_title", True)),
+        include_title=include_title,
         language=language,
         window_size=window_size,
         min_edge_weight=min_edge_weight,
-        edge_length=edge_length,
-        sentence_split=bool(data.get("sentence_split", True)),
         min_token_len=min_token_len,
         start_date=start,
         end_date=end,
         climate_targets=climate,
         question_targets=questions,
         p_max=p_max,
-        star_thresholds=thresholds,
         workers=workers,
         config_bytes=raw_bytes,
     )
@@ -266,7 +291,6 @@ def score_window(
     keywords: list[str],
     *,
     min_edge_weight: int,
-    edge_length: str,
 ) -> list[SbsScore]:
     """Score ``keywords`` on one window's ``(doc_id, text)`` documents.
 
@@ -284,7 +308,7 @@ def score_window(
         extra_nodes=prev.keys(),
         window_index=window_index,
     )
-    return network.sbs(graph, prev, keywords, edge_length=edge_length)
+    return network.sbs(graph, prev, keywords)
 
 
 def _score_windows(
@@ -304,7 +328,6 @@ def _score_windows(
         text_cfg=text_cfg,
         keywords=keywords,
         min_edge_weight=cfg.min_edge_weight,
-        edge_length=cfg.edge_length,
     )
     if workers <= 1:
         results = list(map(score, docs, indices))
@@ -481,7 +504,6 @@ def run_pipeline(
             stopwords=stopwords,
             canonical=canonical,
             window_size=cfg.window_size,
-            split_sentences=cfg.sentence_split,
             min_token_len=cfg.min_token_len,
             stemmer=stemmer,
         )
@@ -553,9 +575,7 @@ def run_pipeline(
             climate_names = cfg.climate_targets or [m.name for m in monthly]
             climate = [weekly_by_name[n] for n in climate_names]
             questions = [weekly_by_name[n] for n in cfg.question_targets]
-            results = causality.run_battery(
-                sbs_series, climate + questions, p_max=cfg.p_max, thresholds=cfg.star_thresholds
-            )
+            results = causality.run_battery(sbs_series, climate + questions, p_max=cfg.p_max)
             climate_set = set(climate_names)
             main_rows = [r for r in results if r.target in climate_set]
             question_rows = [r for r in results if r.target in set(cfg.question_targets)]

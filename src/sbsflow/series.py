@@ -132,25 +132,18 @@ def month_anchors(monthly: MonthlySeries, windows: list[TimeWindow]) -> list[int
     return anchors
 
 
-def disaggregate(
-    monthly: MonthlySeries,
-    windows: list[TimeWindow],
-    boundary: str = "natural",
-) -> WeeklySeries:
-    """Cubic spline through the month anchors, sampled per window.
+def disaggregate(monthly: MonthlySeries, windows: list[TimeWindow]) -> WeeklySeries:
+    """Natural cubic spline through the month anchors, sampled per window.
 
-    The spline reproduces the monthly value exactly at each anchor; windows
-    beyond the anchored span take the extension of the end segments.
-    ``boundary`` is "natural" (zero end curvature, the default) or
-    "not-a-knot".
+    The spline reproduces the monthly value exactly at each anchor and has
+    zero curvature at the end knots; windows beyond the anchored span take
+    the extension of the end segments.
     """
-    if boundary not in ("natural", "not-a-knot"):
-        raise SeriesError(f"unknown boundary condition {boundary!r}")
     if len(monthly) < 3:
         raise SeriesError(f"series {monthly.name!r}: need at least 3 monthly points, got {len(monthly)}")
     knots = np.asarray(month_anchors(monthly, windows), dtype=float)
     values = np.asarray(monthly.values, dtype=float)
-    spline = CubicSpline(knots, values, bc_type=boundary)
+    spline = CubicSpline(knots, values, bc_type="natural")
     grid = np.arange(len(windows), dtype=float)
     weekly = spline(grid)
     return WeeklySeries(

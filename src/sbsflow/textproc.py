@@ -55,7 +55,6 @@ class TextConfig:
     stopwords: frozenset[str] = frozenset()
     canonical: "CanonicalMap | None" = None
     window_size: int = 3
-    split_sentences: bool = True
     min_token_len: int = 2  # single-letter tokens are noise; set 1 to keep them
     stemmer: Stemmer = field(default=None)  # type: ignore[assignment]
 
@@ -143,9 +142,8 @@ def normalize(
 
 def normalize_document(doc_id: str, text: str, cfg: TextConfig) -> TokenSequence:
     """Full per-document pipeline producing sentence-grouped canonical tokens."""
-    parts = split_sentences(text) if cfg.split_sentences else [text]
     sentences = []
-    for part in parts:
+    for part in split_sentences(text):
         toks = tokenize(part, cfg.min_token_len)
         norm = normalize(toks, cfg.stopwords, cfg.stemmer, cfg.canonical)
         if norm:

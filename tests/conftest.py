@@ -51,9 +51,7 @@ def score_fixture(fx, language="english", stopwords_path=None):
     per_kw: dict[str, list[float]] = {kw: [] for kw in labels}
     for w in assignment.windows:
         window_docs = [(d.id, d.text()) for d in assignment.by_window[w.index]]
-        scores = score_window(
-            window_docs, w.index, cfg, labels, min_edge_weight=1, edge_length="inverse"
-        )
+        scores = score_window(window_docs, w.index, cfg, labels, min_edge_weight=1)
         for score in scores:
             per_kw[score.keyword].append(score.sbs)
     n = len(assignment.windows)

@@ -23,3 +23,5 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    # temporary directories are removed when the demo ends
+    assert not list(tmp_path.glob("sbsflow_demo_*"))

@@ -146,6 +146,10 @@ class TestConnectivity:
         assert conn["a"] == pytest.approx(0.5, abs=1e-12)
         assert conn["c"] == pytest.approx(0.5, abs=1e-12)
         assert conn["b"] == pytest.approx(0.0, abs=1e-12)
+        # lengths are 1/w: the heavy a-c link (1/3) beats a-b-c (2), so b brokers
+        # nothing; with lengths w, a-b-c (2) would beat a-c (3)
+        tri = connectivity(WordGraph({("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 3}))
+        assert tri["b"] == 0.0
 
     def test_disconnected_pairs_contribute_zero(self):
         g = WordGraph({("a", "b"): 1, ("c", "d"): 1})
@@ -183,14 +187,6 @@ class TestConnectivity:
         c1, c2 = connectivity(g1), connectivity(g2)
         for node in c1:
             assert c1[node] == pytest.approx(c2[node], abs=1e-9)
-
-    def test_direct_edge_length_mode(self):
-        # with direct lengths the heavy edge is avoided, flipping the broker
-        g = WordGraph({("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 3})
-        inv = connectivity(g, edge_length="inverse")
-        dir_ = connectivity(g, edge_length="direct")
-        assert inv["b"] == 0.0  # direct a-c link is short when weights attract
-        assert dir_["b"] == 1.0  # a-b-c (length 2) beats a-c (length 3)
 
 
 class TestStandardize:

@@ -5,6 +5,8 @@ import json
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbsflow import pipeline
 from sbsflow.cli import main as cli_main
@@ -27,6 +29,18 @@ from conftest import score_fixture
 ARTIFACTS = [SCORES_CSV, WEEKLY_CSV, GRANGER_CSV, QUESTIONS_CSV, PLOT_CSV]
 # integer config fields and their minimum values
 INTEGER_FIELDS = {"window_size": 2, "min_edge_weight": 1, "min_token_len": 1, "p_max": 1, "workers": 1}
+
+# arbitrary YAML-able values for the config fuzz test
+_YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12) | st.dates(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _overrides(known: frozenset[str]):
+    """Some known keys and some made-up ones, each with an arbitrary value."""
+    return st.dictionaries(st.sampled_from(sorted(known)) | st.text(max_size=8), _YAML_VALUES, max_size=4)
 
 
 def _rewritten_config(fixture, corpus=None, out=None, **overrides) -> str:
@@ -59,7 +73,7 @@ class TestValidateConfig:
         cfg = validate_config(fixture.config_path)
         assert cfg.window_size == 3
         assert cfg.p_max == 4
-        assert cfg.star_thresholds == (0.10, 0.05, 0.01)
+        assert cfg.include_title is True
         assert cfg.language == "english"
 
     def test_wrong_threshold_order_names_field(self, fixture, tmp_path):
@@ -69,7 +83,7 @@ class TestValidateConfig:
         )
         with pytest.raises(ConfigError) as err:
             validate_config(bad)
-        assert any("star_thresholds" in f for f in err.value.failures)
+        assert "star_thresholds: unknown key" in err.value.failures
 
     def test_multiple_failures_reported_together(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -78,13 +92,15 @@ class TestValidateConfig:
             "registry: missing.yaml\n"
             "monthly_targets: missing.csv\n"
             "window_size: 1\n"
+            "windw_size: 7\n"
             "start_date: 2021-06-01\n"
             "end_date: 2021-01-01\n"
         )
         with pytest.raises(ConfigError) as err:
             validate_config(bad)
         failures = err.value.failures
-        assert len(failures) >= 4
+        assert len(failures) >= 5
+        assert "windw_size: unknown key" in failures
         assert any("window_size" in f for f in failures)
         assert any("start_date" in f for f in failures)
 
@@ -121,6 +137,84 @@ class TestValidateConfig:
             validate_config(bad)
         named = [f.split(":")[0] for f in err.value.failures]
         assert named == list(INTEGER_FIELDS)
+
+    @pytest.mark.parametrize(
+        "name,value,expected",
+        [
+            ("climate_targets", "climate", "a list of strings"),
+            ("climate_targets", [1, 2], "a list of strings"),
+            ("question_targets", {"a": 1}, "a list of strings"),
+            ("corpus.fields", "x", "a mapping of strings"),
+            ("corpus.fields", {"id": 7}, "a mapping of strings"),
+            ("corpus.include_title", "false", "true or false"),
+            ("corpus.include_title", 0, "true or false"),
+            ("language", None, "a string"),
+            ("output_dir", ["a"], "a string"),
+            ("registry", ["a"], "a string"),
+            ("monthly_targets", 1, "a string"),
+            ("stopwords", None, "a string"),
+            ("corpus.path", ["a"], "a string"),
+            ("corpus.date_format", 1, "a string"),
+        ],
+    )
+    def test_typed_field_rejects_wrong_type(self, fixture, tmp_path, name, value, expected):
+        conf = yaml.safe_load(_rewritten_config(fixture))
+        section, _, key = name.rpartition(".")
+        (conf[section] if section else conf)[key] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(conf))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.failures == [f"{name}: expected {expected}, got {value!r}"]
+
+    @pytest.mark.parametrize(
+        "extra,key",
+        [
+            ({"edge_length": "direct"}, "edge_length"),
+            ({"sentence_split": False}, "sentence_split"),
+            ({"star_thresholds": [0.1, 0.05, 0.01]}, "star_thresholds"),
+            ({"windw_size": 7}, "windw_size"),
+            ({"corpus": {"includ_title": False}}, "corpus.includ_title"),
+            ({"corpus": {"fields": {"idd": "x"}}}, "corpus.fields.idd"),
+        ],
+    )
+    def test_unknown_key_refused(self, fixture, tmp_path, capsys, extra, key):
+        conf = yaml.safe_load(_rewritten_config(fixture))
+        for name, value in extra.items():
+            if name == "corpus":
+                conf["corpus"].update(value)
+            else:
+                conf[name] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(conf))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.failures == [f"{key}: unknown key"]
+        assert cli_main(["validate", "--config", str(bad)]) == 1
+        assert f"{key}: unknown key" in capsys.readouterr().err
+
+    def test_overlong_file_name_reported_as_not_found(self, fixture, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(_rewritten_config(fixture, registry="k" * 300))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.failures == [f"registry: file not found: {tmp_path / ('k' * 300)}"]
+
+    @settings(max_examples=60)
+    @given(top=_overrides(pipeline._TOP_KEYS), corpus=_overrides(pipeline._CORPUS_KEYS),
+           fields=_overrides(pipeline._FIELD_KEYS))
+    def test_fuzzed_config_validates_or_raises_config_error(
+        self, fixture, tmp_path_factory, top, corpus, fields
+    ):
+        conf = yaml.safe_load(_rewritten_config(fixture))
+        conf["corpus"] = {**conf["corpus"], "fields": fields, **corpus}
+        conf.update(top)
+        path = tmp_path_factory.getbasetemp() / "fuzzed.yaml"
+        path.write_text(yaml.safe_dump(conf))
+        try:
+            assert isinstance(validate_config(path), pipeline.RunConfig)
+        except ConfigError:
+            pass
 
 
 class TestRunPipeline:
@@ -271,6 +365,14 @@ class TestCli:
         bad.write_text("window_size: 0\n")
         assert cli_main(["validate", "--config", str(bad)]) == 1
         assert "window_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_option_exit_1(self, fixture, tmp_path, capsys, workers):
+        out = tmp_path / "o"
+        argv = ["score", "--config", str(fixture.config_path), "--out", str(out)]
+        assert cli_main([*argv, "--workers", str(workers)]) == 1
+        assert f"--workers: expected an integer >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_success_exit_0(self, fixture, tmp_path, capsys):
         rc = cli_main(

@@ -164,14 +164,3 @@ class TestDisaggregate:
         by_idx = dict(zip(weekly.indices, weekly.values))
         for anchor, value in zip(anchors, values):
             assert by_idx[anchor] == pytest.approx(value, abs=1e-9)
-
-
-def test_not_a_knot_boundary_also_interpolates():
-    windows = build_windows(GRID_START, GRID_END)
-    m = monthly("s", (2021, 2), [1.0, 2.0, 0.5])
-    weekly = disaggregate(m, windows, boundary="not-a-knot")
-    by_idx = dict(zip(weekly.indices, weekly.values))
-    for knot, value in [(0, 1.0), (4, 2.0), (9, 0.5)]:
-        assert by_idx[knot] == pytest.approx(value, abs=1e-9)
-    with pytest.raises(SeriesError):
-        disaggregate(m, windows, boundary="clamped-wrong")

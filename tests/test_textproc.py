@@ -180,14 +180,6 @@ class TestNormalizeDocument:
         pairs = sequence_cooccurrences(seq, 3)
         assert ("beta", "gamma") not in pairs
 
-    def test_split_disabled_joins_sentences(self):
-        cfg = TextConfig(
-            language="none", stopwords=frozenset(), stemmer=NullStemmer(),
-            split_sentences=False,
-        )
-        seq = normalize_document("d1", "alpha beta. gamma", cfg)
-        assert seq.tokens == ["alpha", "beta", "gamma"]
-
     def test_order_reflects_text_order(self):
         cfg = TextConfig(language="english", stopwords=frozenset({"the"}), stemmer=PorterStemmer())
         seq = normalize_document("d1", "The same principle, the same love of system", cfg)

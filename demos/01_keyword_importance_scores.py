@@ -28,13 +28,12 @@ SENTENCE = (
 )
 
 cfg = TextConfig(
-    language="none",
-    stopwords=frozenset({"the", "of", "to", "and", "which", "those"}),
     stemmer=NullStemmer(),  # keep readable node labels
+    stopwords=frozenset({"the", "of", "to", "and", "which", "those"}),
     window_size=3,
 )
 
-seq = normalize_document("demo", SENTENCE, cfg)
+seq = normalize_document(SENTENCE, cfg)
 print("normalized tokens:", seq.tokens)
 
 records = sequence_cooccurrences(seq, cfg.window_size)

@@ -45,6 +45,8 @@ class WordGraph:
     """Immutable undirected weighted graph over canonical tokens.
 
     Nodes are held in sorted order so every traversal is deterministic.
+    Edge keys must be ordered pairs ``(a, b)`` with ``a < b``; with sorted
+    nodes this makes ``edges`` and every neighbor list come out sorted.
     Isolated nodes (tokens that occur but never co-occur) are allowed.
     """
 
@@ -58,6 +60,8 @@ class WordGraph:
         for (a, b), w in edges.items():
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
+            if a > b:
+                raise ValueError(f"unordered edge key ({a!r}, {b!r}); expected a < b")
             if w <= 0:
                 raise ValueError(f"non-positive weight on ({a!r}, {b!r})")
             names.add(a)
@@ -69,15 +73,11 @@ class WordGraph:
         edge_list = []
         for (a, b), w in sorted(edges.items()):
             i, j = self.index[a], self.index[b]
-            if i > j:
-                i, j = j, i
             adj[i].append((j, float(w)))
             adj[j].append((i, float(w)))
             edge_list.append((i, j, float(w)))
-        self.adj: tuple[tuple[tuple[int, float], ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adj
-        )
-        self.edges: tuple[tuple[int, int, float], ...] = tuple(sorted(edge_list))
+        self.adj: tuple[tuple[tuple[int, float], ...], ...] = tuple(map(tuple, adj))
+        self.edges: tuple[tuple[int, int, float], ...] = tuple(edge_list)
 
     @property
     def n(self) -> int:
@@ -102,14 +102,12 @@ def build_graph(
 ) -> WordGraph:
     """Build a window graph, dropping edges below ``min_edge_weight``.
 
-    ``extra_nodes`` carries tokens with nonzero prevalence so they survive
-    as isolated nodes even when all their edges are pruned.
+    ``records`` are pair counts keyed ``(a, b)`` with ``a < b``, as
+    ``textproc.sequence_cooccurrences`` emits them; a reversed key is
+    refused. ``extra_nodes`` carries tokens with nonzero prevalence so they
+    survive as isolated nodes even when all their edges are pruned.
     """
-    merged: dict[tuple[str, str], float] = {}
-    for (a, b), w in records.items():
-        key = (a, b) if a < b else (b, a)
-        merged[key] = merged.get(key, 0.0) + float(w)
-    kept = {k: w for k, w in merged.items() if w >= min_edge_weight}
+    kept = {k: w for k, w in records.items() if w >= min_edge_weight}
     return WordGraph(kept, nodes=extra_nodes, window_index=window_index)
 
 
@@ -123,20 +121,26 @@ def prevalence(sequences) -> Counter:
 
 
 def diversity(graph: WordGraph, token: str) -> float:
-    """Distinctiveness centrality: sum over neighbors j of log10((n-1)/g_j)."""
+    """Distinctiveness centrality of one node; see ``diversity_all``."""
     if token not in graph.index:
         raise KeyError(f"node {token!r} not in graph")
-    n = graph.n
-    if n < 2:
-        return 0.0
-    total = 0.0
-    for j, _ in graph.adj[graph.index[token]]:
-        total += math.log10((n - 1) / len(graph.adj[j]))
-    return total
+    return diversity_all(graph)[token]
 
 
 def diversity_all(graph: WordGraph) -> dict[str, float]:
-    return {t: diversity(graph, t) for t in graph.nodes}
+    """Distinctiveness centrality: sum over neighbors j of log10((n-1)/g_j)."""
+    n = graph.n
+    # an isolated node is nobody's neighbor, so its term is never read
+    term = [math.log10((n - 1) / len(nbrs)) if nbrs else 0.0 for nbrs in graph.adj]
+    out = {}
+    for token, nbrs in zip(graph.nodes, graph.adj):
+        # summed left to right in adj order (not sum(), which compensates on
+        # Python >= 3.12), so the floats never depend on the interpreter
+        total = 0.0
+        for j, _ in nbrs:
+            total += term[j]
+        out[token] = total
+    return out
 
 
 def _close(a: float, b: float) -> bool:

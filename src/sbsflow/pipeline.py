@@ -243,6 +243,13 @@ def validate_config(path: str | Path) -> RunConfig:
 
     climate = value(data, "climate_targets", [], _is_str_list, "a list of strings")
     questions = value(data, "question_targets", [], _is_str_list, "a list of strings")
+    # a repeated name would repeat its battery rows and plot_data.csv columns
+    seen: set[str] = set()
+    for key, names in (("climate_targets", climate), ("question_targets", questions)):
+        for name in names:
+            if name in seen:
+                failures.append(f"{key}: repeated name {name!r}")
+            seen.add(name)
     output_dir = value(data, "output_dir", "out", _is_str, "a string")
 
     if failures:
@@ -285,19 +292,19 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 def score_window(
-    docs: list[tuple[str, str]],
+    texts: list[str],
     window_index: int,
     text_cfg: textproc.TextConfig,
     keywords: list[str],
     *,
     min_edge_weight: int,
 ) -> list[SbsScore]:
-    """Score ``keywords`` on one window's ``(doc_id, text)`` documents.
+    """Score ``keywords`` on the texts of one window's documents.
 
     A pure function of its arguments, so windows can be scored in any
     process and order.
     """
-    sequences = [textproc.normalize_document(doc_id, text, text_cfg) for doc_id, text in docs]
+    sequences = [textproc.normalize_document(text, text_cfg) for text in texts]
     prev = network.prevalence(sequences)
     records = textproc.merge_cooccurrences(
         textproc.sequence_cooccurrences(seq, text_cfg.window_size) for seq in sequences
@@ -319,10 +326,7 @@ def _score_windows(
     workers: int,
 ) -> dict[int, list[SbsScore]]:
     indices = [w.index for w in assignment.windows]
-    docs = [
-        [(d.id, d.text(cfg.include_title)) for d in assignment.by_window[idx]]
-        for idx in indices
-    ]
+    texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
     score = partial(
         score_window,
         text_cfg=text_cfg,
@@ -330,11 +334,11 @@ def _score_windows(
         min_edge_weight=cfg.min_edge_weight,
     )
     if workers <= 1:
-        results = list(map(score, docs, indices))
+        results = list(map(score, texts, indices))
     else:
         # map returns results in window order regardless of scheduling
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score, docs, indices))
+            results = list(pool.map(score, texts, indices))
     return dict(zip(indices, results))
 
 
@@ -500,12 +504,11 @@ def run_pipeline(
         canonical = compile_canonical_map(sets, stemmer, stopwords)
         keywords = sorted(s.label for s in sets)
         text_cfg = textproc.TextConfig(
-            language=cfg.language,
+            stemmer=stemmer,
             stopwords=stopwords,
             canonical=canonical,
             window_size=cfg.window_size,
             min_token_len=cfg.min_token_len,
-            stemmer=stemmer,
         )
         clock.stop()
 
@@ -553,18 +556,16 @@ def run_pipeline(
         if stage_mode in ("run", "test"):
             clock.start("targets")
             monthly = series.load_monthly(cfg.monthly_path)
+            climate_names = cfg.climate_targets or [m.name for m in monthly]
+            climate_set, question_set = set(climate_names), set(cfg.question_targets)
             available = {m.name for m in monthly}
-            wanted = (cfg.climate_targets or [m.name for m in monthly]) + cfg.question_targets
-            missing = [t for t in wanted if t not in available]
+            missing = [t for t in climate_names + cfg.question_targets if t not in available]
             if missing:
                 raise PipelineError(
                     f"monthly target file lacks configured series: {missing}"
                 )
-            weekly = [
-                series.disaggregate(m, windows)
-                for m in monthly
-                if m.name in set(wanted)
-            ]
+            wanted = climate_set | question_set
+            weekly = [series.disaggregate(m, windows) for m in monthly if m.name in wanted]
             weekly_by_name = {w.name: w for w in weekly}
             artifacts.append(_write_csv(out / WEEKLY_CSV, _weekly_rows(starts, weekly)))
             clock.stop()
@@ -572,13 +573,11 @@ def run_pipeline(
             clock.start("causality")
             keywords = sorted({s.keyword for scores in scores_by_window.values() for s in scores})
             sbs_series = _keyword_series(scores_by_window, keywords)
-            climate_names = cfg.climate_targets or [m.name for m in monthly]
             climate = [weekly_by_name[n] for n in climate_names]
             questions = [weekly_by_name[n] for n in cfg.question_targets]
             results = causality.run_battery(sbs_series, climate + questions, p_max=cfg.p_max)
-            climate_set = set(climate_names)
             main_rows = [r for r in results if r.target in climate_set]
-            question_rows = [r for r in results if r.target in set(cfg.question_targets)]
+            question_rows = [r for r in results if r.target in question_set]
             clock.stop()
 
             clock.start("write_tables")

@@ -18,9 +18,6 @@ class Stemmer:
     def stem(self, word: str) -> str:
         raise NotImplementedError
 
-    def stem_all(self, words: list[str]) -> list[str]:
-        return [self.stem(w) for w in words]
-
 
 class NullStemmer(Stemmer):
     """Pass-through stemmer (useful for tests and unstemmed graphs)."""

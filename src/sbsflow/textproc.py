@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .stemming import Stemmer, get_stemmer
+from .stemming import Stemmer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .keywords import CanonicalMap
@@ -39,7 +39,6 @@ _SENTENCE_RE = re.compile(r"[.!?]+")
 class TokenSequence:
     """Normalized tokens of one document, grouped by sentence."""
 
-    doc_id: str
     sentences: tuple[tuple[str, ...], ...]
 
     @property
@@ -51,18 +50,15 @@ class TokenSequence:
 class TextConfig:
     """Knobs for the document-to-tokens stage."""
 
-    language: str = "italian"
+    stemmer: Stemmer
     stopwords: frozenset[str] = frozenset()
     canonical: "CanonicalMap | None" = None
     window_size: int = 3
     min_token_len: int = 2  # single-letter tokens are noise; set 1 to keep them
-    stemmer: Stemmer = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.window_size < 2:
             raise ValueError("window_size must be >= 2")
-        if self.stemmer is None:
-            self.stemmer = get_stemmer(self.language)
 
 
 def split_sentences(text: str) -> list[str]:
@@ -129,7 +125,7 @@ def normalize(
     if canonical is not None and canonical.phrases:
         kept = _apply_phrases(kept, canonical)
     if canonical is None:
-        return stemmer.stem_all(kept)
+        return [stemmer.stem(tok) for tok in kept]
     out = []
     for tok in kept:
         if tok in canonical.labels:
@@ -140,7 +136,7 @@ def normalize(
     return out
 
 
-def normalize_document(doc_id: str, text: str, cfg: TextConfig) -> TokenSequence:
+def normalize_document(text: str, cfg: TextConfig) -> TokenSequence:
     """Full per-document pipeline producing sentence-grouped canonical tokens."""
     sentences = []
     for part in split_sentences(text):
@@ -148,34 +144,33 @@ def normalize_document(doc_id: str, text: str, cfg: TextConfig) -> TokenSequence
         norm = normalize(toks, cfg.stopwords, cfg.stemmer, cfg.canonical)
         if norm:
             sentences.append(tuple(norm))
-    return TokenSequence(doc_id=doc_id, sentences=tuple(sentences))
+    return TokenSequence(sentences=tuple(sentences))
 
 
 def extract_cooccurrences(tokens: Iterable[str], window_size: int) -> Counter:
-    """Count unordered token pairs closer than ``window_size`` positions.
-
-    One increment per position pair (p, q) with p < q, q - p < window_size
-    and distinct tokens; pairs are keyed in lexicographic order.
-    """
-    if window_size < 2:
-        raise ValueError("window_size must be >= 2")
-    toks = list(tokens)
-    counts: Counter = Counter()
-    for q in range(1, len(toks)):
-        for p in range(max(0, q - window_size + 1), q):
-            a, b = toks[p], toks[q]
-            if a == b:
-                continue
-            counts[(a, b) if a < b else (b, a)] += 1
-    return counts
+    """Pair counts of ``tokens`` read as a single sentence."""
+    return sequence_cooccurrences(TokenSequence(sentences=(tuple(tokens),)), window_size)
 
 
 def sequence_cooccurrences(seq: TokenSequence, window_size: int) -> Counter:
-    """Aggregate pair counts over a document's sentences."""
-    total: Counter = Counter()
-    for sent in seq.sentences:
-        total.update(extract_cooccurrences(sent, window_size))
-    return total
+    """Count unordered token pairs closer than ``window_size`` positions.
+
+    One increment per position pair (p, q) within a sentence with p < q,
+    q - p < window_size and distinct tokens. Every key is ``(a, b)`` with
+    ``a < b``: this is where pair orientation is decided, and
+    ``build_graph`` and ``WordGraph`` rely on it.
+    """
+    if window_size < 2:
+        raise ValueError("window_size must be >= 2")
+    counts: Counter = Counter()
+    for toks in seq.sentences:
+        for q in range(1, len(toks)):
+            for p in range(max(0, q - window_size + 1), q):
+                a, b = toks[p], toks[q]
+                if a == b:
+                    continue
+                counts[(a, b) if a < b else (b, a)] += 1
+    return counts
 
 
 def merge_cooccurrences(parts: Iterable[Counter]) -> Counter:

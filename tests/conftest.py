@@ -36,10 +36,7 @@ def score_fixture(fx, language="english", stopwords_path=None):
     stemmer = get_stemmer(language)
     sets = parse_registry(fx.registry_path)
     canonical = compile_canonical_map(sets, stemmer, stopwords)
-    cfg = TextConfig(
-        language=language, stopwords=stopwords, canonical=canonical,
-        window_size=3, stemmer=stemmer,
-    )
+    cfg = TextConfig(stemmer=stemmer, stopwords=stopwords, canonical=canonical, window_size=3)
     docs = list(load_corpus(fx.corpus_path))
 
     # same grid the fixture config describes
@@ -50,8 +47,8 @@ def score_fixture(fx, language="english", stopwords_path=None):
     labels = sorted(s.label for s in sets)
     per_kw: dict[str, list[float]] = {kw: [] for kw in labels}
     for w in assignment.windows:
-        window_docs = [(d.id, d.text()) for d in assignment.by_window[w.index]]
-        scores = score_window(window_docs, w.index, cfg, labels, min_edge_weight=1)
+        texts = [d.text() for d in assignment.by_window[w.index]]
+        scores = score_window(texts, w.index, cfg, labels, min_edge_weight=1)
         for score in scores:
             per_kw[score.keyword].append(score.sbs)
     n = len(assignment.windows)

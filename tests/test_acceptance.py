@@ -27,7 +27,7 @@ from sbsflow.causality import (
 )
 from sbsflow.corpus import Document, assign_windows, build_windows
 from sbsflow.keywords import fixture_path
-from sbsflow.network import WordGraph, connectivity, diversity, sbs, standardize
+from sbsflow.network import WordGraph, connectivity, diversity, diversity_all, sbs, standardize
 from sbsflow.pipeline import (
     PLOT_CSV,
     SCORES_CSV,
@@ -70,12 +70,14 @@ def test_criterion_01_centrality_oracle_equivalence():
         for i in range(n):
             assert abs(got[f"n{i:02d}"] - expected[i]) <= 1e-9
         n_nodes = graph.n
+        div_all = diversity_all(graph)
         for token in graph.nodes:
             direct = sum(
                 math.log10((n_nodes - 1) / graph.degree(nbr))
                 for nbr in graph.neighbors(token)
             )
             assert abs(diversity(graph, token) - direct) <= 1e-12
+            assert div_all[token] == diversity(graph, token)
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _ok(1, f"200 random graphs match enumeration and formula oracles ({elapsed:.1f}s)")
@@ -102,12 +104,11 @@ def test_criterion_03_known_sentence_adjacency():
         "recommend those institutions which tend to promote the public welfare."
     )
     cfg = TextConfig(
-        language="none",
-        stopwords=frozenset({"the", "of", "to", "and", "which", "those"}),
         stemmer=NullStemmer(),
+        stopwords=frozenset({"the", "of", "to", "and", "which", "those"}),
         window_size=3,
     )
-    seq = normalize_document("smith", sentence, cfg)
+    seq = normalize_document(sentence, cfg)
     from sbsflow.network import build_graph
 
     graph = build_graph(sequence_cooccurrences(seq, 3))

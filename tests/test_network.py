@@ -56,13 +56,24 @@ class TestBuildGraph:
             WordGraph({("a", "a"): 1})
 
     def test_known_sentence_same_neighborhood(self):
-        cfg = TextConfig(
-            language="none", stopwords=SMITH_STOPWORDS, stemmer=NullStemmer(), window_size=3
-        )
-        seq = normalize_document("smith", SMITH_SENTENCE, cfg)
+        cfg = TextConfig(stemmer=NullStemmer(), stopwords=SMITH_STOPWORDS, window_size=3)
+        seq = normalize_document(SMITH_SENTENCE, cfg)
         records = sequence_cooccurrences(seq, 3)
         g = build_graph(records)
         assert {"principle", "love", "system"} <= set(g.neighbors("same"))
+
+    @given(st.integers(min_value=0, max_value=200))
+    def test_edges_and_neighbors_sorted_whatever_the_key_order(self, seed):
+        # ordered keys over sorted nodes leave nothing to re-sort
+        rng = np.random.default_rng(seed)
+        n, weights = random_weighted_graph(rng, n_max=12)
+        items = list(weights.items())
+        shuffled = {items[k][0]: items[k][1] for k in rng.permutation(len(items))}
+        g = graph_from_ints(n, shuffled)
+        assert g.edges == tuple(sorted(g.edges))
+        assert [(i, j) for i, j, _ in g.edges] == sorted(weights)
+        for nbrs in g.adj:
+            assert list(nbrs) == sorted(nbrs)
 
 
 class TestPrevalence:
@@ -293,7 +304,7 @@ class TestSbs:
 
 
 def test_write_edgelist(tmp_path):
-    g = WordGraph({("b", "a"): 2, ("b", "c"): 1})
+    g = WordGraph({("a", "b"): 2, ("b", "c"): 1})
     path = tmp_path / "edges.csv"
     write_edgelist(g, path)
     lines = path.read_text().splitlines()
@@ -301,7 +312,8 @@ def test_write_edgelist(tmp_path):
     assert lines[1] == "a,b,2.0"
 
 
-def test_build_graph_thresholds_after_orientation_merge():
-    # aggregated weight decides survival, whatever key orientation callers use
-    g = build_graph({("b", "a"): 1, ("a", "b"): 1}, min_edge_weight=2)
-    assert g.edge_items() == [("a", "b", 2.0)]
+@pytest.mark.parametrize("build", [WordGraph, build_graph], ids=["WordGraph", "build_graph"])
+def test_reversed_pair_key_refused(build):
+    # keys are oriented once, by the co-occurrence counter; a reversed key is a caller bug
+    with pytest.raises(ValueError, match=r"\('b', 'a'\)"):
+        build({("a", "c"): 1, ("b", "a"): 1})

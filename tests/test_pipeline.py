@@ -200,6 +200,25 @@ class TestValidateConfig:
             validate_config(bad)
         assert err.value.failures == [f"registry: file not found: {tmp_path / ('k' * 300)}"]
 
+    @pytest.mark.parametrize(
+        "targets,failure",
+        [
+            ({"climate_targets": ["climate", "climate"]}, "climate_targets: repeated name 'climate'"),
+            (
+                {"climate_targets": ["climate", "personal"], "question_targets": ["personal"]},
+                "question_targets: repeated name 'personal'",
+            ),
+        ],
+        ids=["within-climate", "climate-and-question"],
+    )
+    def test_repeated_target_name_refused(self, fixture, tmp_path, targets, failure):
+        # a repeated name would repeat its battery rows and plot_data.csv columns
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(_rewritten_config(fixture, **targets))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.failures == [failure]
+
     @settings(max_examples=60)
     @given(top=_overrides(pipeline._TOP_KEYS), corpus=_overrides(pipeline._CORPUS_KEYS),
            fields=_overrides(pipeline._FIELD_KEYS))

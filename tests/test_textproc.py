@@ -171,8 +171,8 @@ class TestExtractCooccurrences:
 
 class TestNormalizeDocument:
     def test_sentences_isolated(self):
-        cfg = TextConfig(language="none", stopwords=frozenset(), stemmer=NullStemmer())
-        seq = normalize_document("d1", "alpha beta. gamma delta", cfg)
+        cfg = TextConfig(stemmer=NullStemmer())
+        seq = normalize_document("alpha beta. gamma delta", cfg)
         assert seq.sentences == (("alpha", "beta"), ("gamma", "delta"))
         # co-occurrence never crosses the sentence boundary
         from sbsflow.textproc import sequence_cooccurrences
@@ -181,6 +181,6 @@ class TestNormalizeDocument:
         assert ("beta", "gamma") not in pairs
 
     def test_order_reflects_text_order(self):
-        cfg = TextConfig(language="english", stopwords=frozenset({"the"}), stemmer=PorterStemmer())
-        seq = normalize_document("d1", "The same principle, the same love of system", cfg)
+        cfg = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"the"}))
+        seq = normalize_document("The same principle, the same love of system", cfg)
         assert seq.tokens == ["same", "principl", "same", "love", "of", "system"]

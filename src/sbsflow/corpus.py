@@ -54,9 +54,6 @@ class TimeWindow:
     start_date: date
     end_date: date
 
-    def contains(self, day: date) -> bool:
-        return self.start_date <= day < self.end_date
-
 
 @dataclass
 class IngestConfig:
@@ -97,14 +94,11 @@ def _parse_record(
     if raw_date is None or str(raw_date).strip() == "":
         report.reject(line_no, f"missing {cfg.date_field!r}")
         return None
-    if isinstance(raw_date, date) and not isinstance(raw_date, datetime):
-        day = raw_date
-    else:
-        try:
-            day = datetime.strptime(str(raw_date).strip(), cfg.date_format).date()
-        except ValueError:
-            report.reject(line_no, f"unparseable date {raw_date!r}")
-            return None
+    try:
+        day = datetime.strptime(str(raw_date).strip(), cfg.date_format).date()
+    except ValueError:
+        report.reject(line_no, f"unparseable date {raw_date!r}")
+        return None
     seen.add(doc_id)
     return Document(
         id=doc_id,

@@ -15,7 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
@@ -79,24 +79,26 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class RunConfig:
+    """A validated run config; ``validate_config`` owns every default."""
+
     corpus_path: Path
     registry_path: Path
     stopwords_path: Path
     monthly_path: Path
     output_dir: Path
     ingest: IngestConfig
-    include_title: bool = True
-    language: str = "italian"
-    window_size: int = 3
-    min_edge_weight: int = 1
-    min_token_len: int = 2
-    start_date: date = date(2017, 1, 2)
-    end_date: date = date(2020, 8, 31)
-    climate_targets: list[str] = field(default_factory=list)
-    question_targets: list[str] = field(default_factory=list)
-    p_max: int = 8
-    workers: int = 1
-    config_bytes: bytes = b""
+    include_title: bool
+    language: str
+    window_size: int
+    min_edge_weight: int
+    min_token_len: int
+    start_date: date
+    end_date: date
+    climate_targets: list[str]
+    question_targets: list[str]
+    p_max: int
+    workers: int
+    config_bytes: bytes
 
 
 def _as_date(value, failures: list[str], name: str) -> date | None:
@@ -324,7 +326,8 @@ def _score_windows(
     keywords: list[str],
     cfg: RunConfig,
     workers: int,
-) -> dict[int, list[SbsScore]]:
+) -> list[list[SbsScore]]:
+    """Each window's scores, in window order."""
     indices = [w.index for w in assignment.windows]
     texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
     score = partial(
@@ -334,12 +337,10 @@ def _score_windows(
         min_edge_weight=cfg.min_edge_weight,
     )
     if workers <= 1:
-        results = list(map(score, texts, indices))
-    else:
-        # map returns results in window order regardless of scheduling
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score, texts, indices))
-    return dict(zip(indices, results))
+        return list(map(score, texts, indices))
+    # map returns results in window order regardless of scheduling
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(score, texts, indices))
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +383,15 @@ _SCORE_COLUMNS = (
 )
 
 
-def _scores_rows(starts: dict[int, str], scores_by_window: dict[int, list[SbsScore]]):
+def _scores_rows(starts: list[str], scores_by_window: list[list[SbsScore]]):
     yield ["window_index", "week_start", "keyword", *_SCORE_COLUMNS]
-    for idx in sorted(scores_by_window):
-        for s in sorted(scores_by_window[idx], key=lambda s: s.keyword):
+    for idx, scores in enumerate(scores_by_window):
+        for s in sorted(scores, key=lambda s: s.keyword):
             raw = [getattr(s, c) for c in _SCORE_COLUMNS]
             yield [idx, starts[idx], s.keyword, format(raw[0], "g"), *map(repr, raw[1:])]
 
 
-def _weekly_rows(starts: dict[int, str], weekly: list[WeeklySeries]):
+def _weekly_rows(starts: list[str], weekly: list[WeeklySeries]):
     yield ["series", "window_index", "week_start", "value"]
     for s in weekly:
         for idx, value in zip(s.indices, s.values):
@@ -418,13 +419,13 @@ def _questions_rows(results, questions: list[str]):
         yield [kw, *cells]
 
 
-def _plot_rows(starts: dict[int, str], sbs_series, targets):
-    cols = [(f"sbs:{s.name}", dict(zip(s.indices, s.values))) for s in sbs_series]
-    cols += [(f"target:{t.name}", dict(zip(t.indices, t.values))) for t in targets]
-    grid = sorted(set.intersection(*(set(c[1]) for c in cols))) if cols else []
+def _plot_rows(starts: list[str], sbs_series, targets):
+    cols = [(f"sbs:{s.name}", s.values) for s in sbs_series]
+    cols += [(f"target:{t.name}", t.values) for t in targets]
     yield ["window_index", "week_start", *(name for name, _ in cols)]
-    for idx in grid:
-        yield [idx, starts[idx], *(repr(values[idx]) for _, values in cols)]
+    # every series holds one value per window of ``starts``
+    for idx, (start, *values) in enumerate(zip(starts, *(v for _, v in cols), strict=True)):
+        yield [idx, start, *map(repr, values)]
 
 
 def _sha256(path: Path) -> str:
@@ -436,36 +437,16 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _StageClock:
-    def __init__(self) -> None:
-        self.timings: list[dict] = []
-        self.current: str | None = None
-        self._t0 = 0.0
-
-    def start(self, name: str) -> None:
-        self.current = name
-        self._t0 = time.perf_counter()
-
-    def stop(self) -> None:
-        self.timings.append(
-            {"stage": self.current, "seconds": round(time.perf_counter() - self._t0, 6)}
-        )
-        self.current = None
-
-
 def _keyword_series(
-    scores_by_window: dict[int, list[SbsScore]], keywords: list[str]
+    scores_by_window: list[list[SbsScore]], keywords: list[str]
 ) -> list[WeeklySeries]:
-    per_kw: dict[str, dict[int, float]] = {kw: {} for kw in keywords}
-    for idx, scores in scores_by_window.items():
+    """One series per keyword, its values in window order."""
+    values: dict[str, list[float]] = {kw: [] for kw in keywords}
+    for scores in scores_by_window:
         for s in scores:
-            per_kw[s.keyword][idx] = s.sbs
-    out = []
-    for kw in sorted(per_kw):
-        vals = per_kw[kw]
-        indices = tuple(sorted(vals))
-        out.append(WeeklySeries(name=kw, indices=indices, values=tuple(vals[i] for i in indices)))
-    return out
+            values[s.keyword].append(s.sbs)
+    indices = tuple(range(len(scores_by_window)))
+    return [WeeklySeries(name=kw, indices=indices, values=tuple(values[kw])) for kw in keywords]
 
 
 def run_pipeline(
@@ -484,7 +465,6 @@ def run_pipeline(
     out = Path(out_dir) if out_dir is not None else cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     workers = cfg.workers if workers is None else workers
-    clock = _StageClock()
     manifest: dict = {
         "config_sha256": hashlib.sha256(cfg.config_bytes).hexdigest(),
         "mode": stage_mode,
@@ -496,122 +476,144 @@ def run_pipeline(
         "artifacts": [],
     }
     artifacts: list[Path] = []
+
+    @contextmanager
+    def stage(name: str):
+        """Time the block into the manifest; a block that raises names its stage."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        except Exception:
+            manifest["failed_stage"] = name
+            raise
+        finally:
+            manifest["stages"].append(
+                {"stage": name, "seconds": round(time.perf_counter() - t0, 6)}
+            )
+
     try:
-        clock.start("registry")
-        stopwords = load_stopwords(cfg.stopwords_path)
-        stemmer = get_stemmer(cfg.language)
-        sets = parse_registry(cfg.registry_path)
-        canonical = compile_canonical_map(sets, stemmer, stopwords)
-        keywords = sorted(s.label for s in sets)
-        text_cfg = textproc.TextConfig(
-            stemmer=stemmer,
-            stopwords=stopwords,
-            canonical=canonical,
-            window_size=cfg.window_size,
-            min_token_len=cfg.min_token_len,
-        )
-        clock.stop()
+        with stage("registry"):
+            stopwords = load_stopwords(cfg.stopwords_path)
+            stemmer = get_stemmer(cfg.language)
+            sets = parse_registry(cfg.registry_path)
+            canonical = compile_canonical_map(sets, stemmer, stopwords)
+            keywords = sorted(s.label for s in sets)
+            text_cfg = textproc.TextConfig(
+                stemmer=stemmer,
+                stopwords=stopwords,
+                canonical=canonical,
+                window_size=cfg.window_size,
+                min_token_len=cfg.min_token_len,
+            )
 
+        # the run's one window grid: windows 0..len(windows)-1 x keywords
         windows = build_windows(cfg.start_date, cfg.end_date)
-        starts = {w.index: w.start_date.isoformat() for w in windows}
+        starts = [w.start_date.isoformat() for w in windows]
         if stage_mode in ("run", "score"):
-            clock.start("ingest")
-            report = IngestReport()
-            docs = list(load_corpus(cfg.corpus_path, cfg.ingest, report))
-            assignment = assign_windows(docs, cfg.start_date, cfg.end_date)
-            manifest["corpus"] = {
-                "records": report.records,
-                "loaded": report.loaded,
-                "rejected": len(report.rejects),
-                "excluded_out_of_range": assignment.excluded,
-                "assigned": assignment.assigned,
-                "windows": len(windows),
-            }
-            clock.stop()
+            with stage("ingest"):
+                report = IngestReport()
+                docs = list(load_corpus(cfg.corpus_path, cfg.ingest, report))
+                assignment = assign_windows(docs, cfg.start_date, cfg.end_date)
+                manifest["corpus"] = {
+                    "records": report.records,
+                    "loaded": report.loaded,
+                    "rejected": len(report.rejects),
+                    "excluded_out_of_range": assignment.excluded,
+                    "assigned": assignment.assigned,
+                    "windows": len(windows),
+                }
 
-            clock.start("scores")
-            if assignment.assigned == 0:
-                first, last = windows[0], windows[-1]
-                raise PipelineError(
-                    "no documents fell into any analysis window "
-                    f"{first.index}..{last.index} "
-                    f"({first.start_date.isoformat()}..{last.end_date.isoformat()})"
-                )
-            scores_by_window = _score_windows(assignment, text_cfg, keywords, cfg, workers)
-            clock.stop()
+            with stage("scores"):
+                if assignment.assigned == 0:
+                    first, last = windows[0], windows[-1]
+                    raise PipelineError(
+                        "no documents fell into any analysis window "
+                        f"{first.index}..{last.index} "
+                        f"({first.start_date.isoformat()}..{last.end_date.isoformat()})"
+                    )
+                scores_by_window = _score_windows(assignment, text_cfg, keywords, cfg, workers)
 
-            clock.start("write_scores")
-            artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(starts, scores_by_window)))
-            clock.stop()
+            with stage("write_scores"):
+                artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(starts, scores_by_window)))
         else:
-            clock.start("read_scores")
-            scores_path = out / SCORES_CSV
-            if not scores_path.is_file():
-                raise PipelineError(
-                    f"stage 'test' needs a previous score dump at {scores_path}"
-                )
-            scores_by_window = _read_scores_csv(scores_path)
-            clock.stop()
+            with stage("read_scores"):
+                scores_path = out / SCORES_CSV
+                if not scores_path.is_file():
+                    raise PipelineError(
+                        f"stage 'test' needs a previous score dump at {scores_path}"
+                    )
+                scores_by_window = _read_scores_csv(scores_path, len(windows), keywords)
 
         if stage_mode in ("run", "test"):
-            clock.start("targets")
-            monthly = series.load_monthly(cfg.monthly_path)
-            climate_names = cfg.climate_targets or [m.name for m in monthly]
-            climate_set, question_set = set(climate_names), set(cfg.question_targets)
-            available = {m.name for m in monthly}
-            missing = [t for t in climate_names + cfg.question_targets if t not in available]
-            if missing:
-                raise PipelineError(
-                    f"monthly target file lacks configured series: {missing}"
-                )
-            wanted = climate_set | question_set
-            weekly = [series.disaggregate(m, windows) for m in monthly if m.name in wanted]
-            weekly_by_name = {w.name: w for w in weekly}
-            artifacts.append(_write_csv(out / WEEKLY_CSV, _weekly_rows(starts, weekly)))
-            clock.stop()
+            with stage("targets"):
+                monthly = series.load_monthly(cfg.monthly_path)
+                # unset climate targets: every series not asked as a question
+                climate_names = cfg.climate_targets or [
+                    m.name for m in monthly if m.name not in cfg.question_targets
+                ]
+                climate_set, question_set = set(climate_names), set(cfg.question_targets)
+                available = {m.name for m in monthly}
+                missing = [t for t in climate_names + cfg.question_targets if t not in available]
+                if missing:
+                    raise PipelineError(
+                        f"monthly target file lacks configured series: {missing}"
+                    )
+                wanted = climate_set | question_set
+                weekly = [series.disaggregate(m, windows) for m in monthly if m.name in wanted]
+                weekly_by_name = {w.name: w for w in weekly}
+                artifacts.append(_write_csv(out / WEEKLY_CSV, _weekly_rows(starts, weekly)))
 
-            clock.start("causality")
-            keywords = sorted({s.keyword for scores in scores_by_window.values() for s in scores})
-            sbs_series = _keyword_series(scores_by_window, keywords)
-            climate = [weekly_by_name[n] for n in climate_names]
-            questions = [weekly_by_name[n] for n in cfg.question_targets]
-            results = causality.run_battery(sbs_series, climate + questions, p_max=cfg.p_max)
-            main_rows = [r for r in results if r.target in climate_set]
-            question_rows = [r for r in results if r.target in question_set]
-            clock.stop()
+            with stage("causality"):
+                sbs_series = _keyword_series(scores_by_window, keywords)
+                climate = [weekly_by_name[n] for n in climate_names]
+                questions = [weekly_by_name[n] for n in cfg.question_targets]
+                results = causality.run_battery(sbs_series, climate + questions, p_max=cfg.p_max)
+                main_rows = [r for r in results if r.target in climate_set]
+                question_rows = [r for r in results if r.target in question_set]
 
-            clock.start("write_tables")
-            artifacts.append(_write_csv(out / GRANGER_CSV, _granger_rows(main_rows), caveat=True))
-            question_table = _questions_rows(question_rows, cfg.question_targets)
-            artifacts.append(_write_csv(out / QUESTIONS_CSV, question_table, caveat=True))
-            plot_table = _plot_rows(starts, sbs_series, climate + questions)
-            artifacts.append(_write_csv(out / PLOT_CSV, plot_table))
-            clock.stop()
+            with stage("write_tables"):
+                artifacts.append(_write_csv(out / GRANGER_CSV, _granger_rows(main_rows), caveat=True))
+                question_table = _questions_rows(question_rows, cfg.question_targets)
+                artifacts.append(_write_csv(out / QUESTIONS_CSV, question_table, caveat=True))
+                plot_table = _plot_rows(starts, sbs_series, climate + questions)
+                artifacts.append(_write_csv(out / PLOT_CSV, plot_table))
     except Exception:
-        if clock.current is not None:
-            manifest["failed_stage"] = clock.current
-            clock.stop()
         manifest["status"] = "failed"
-        _write_manifest(out, manifest, clock.timings, artifacts)
+        _write_manifest(out, manifest, artifacts)
         raise
-    _write_manifest(out, manifest, clock.timings, artifacts)
+    _write_manifest(out, manifest, artifacts)
     return manifest
 
 
-def _write_manifest(out: Path, manifest: dict, stages: list[dict], artifacts: list[Path]) -> None:
-    """Complete the manifest with stage timings and artifact hashes and write it."""
-    manifest["stages"] = stages
+def _write_manifest(out: Path, manifest: dict, artifacts: list[Path]) -> None:
+    """Complete the manifest with artifact hashes and write it."""
     manifest["artifacts"] = [{"path": p.name, "sha256": _sha256(p)} for p in artifacts]
     with _replacing(out / MANIFEST_JSON) as fh:
         fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
-def _read_scores_csv(path: Path) -> dict[int, list[SbsScore]]:
-    """Parse a score dump back into per-window score lists."""
-    scores: dict[int, list[SbsScore]] = {}
+def _read_scores_csv(path: Path, n_windows: int, keywords: list[str]) -> list[list[SbsScore]]:
+    """Parse a score dump back into per-window score lists, refusing a dump
+    that does not hold one row per window 0..n_windows-1 and keyword."""
+    scores_by_window: list[list[SbsScore]] = [[] for _ in range(n_windows)]
     with path.open("r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             idx = int(row["window_index"])
+            if not 0 <= idx < n_windows:
+                raise PipelineError(
+                    f"score dump {path} has window {idx}, outside this config's "
+                    f"windows 0..{n_windows - 1}; it was scored on another date range"
+                )
             values = {c: float(row[c]) for c in _SCORE_COLUMNS}
-            scores.setdefault(idx, []).append(SbsScore(keyword=row["keyword"], window=idx, **values))
-    return scores
+            scores_by_window[idx].append(SbsScore(keyword=row["keyword"], window=idx, **values))
+    for idx, scores in enumerate(scores_by_window):
+        found = sorted(s.keyword for s in scores)
+        if found != keywords:
+            missing = sorted(set(keywords) - set(found))
+            unknown = sorted(set(found) - set(keywords))
+            raise PipelineError(
+                f"score dump {path}: window {idx} of 0..{n_windows - 1} has {len(found)} rows "
+                f"for the registry's {len(keywords)} keywords (missing {missing}, "
+                f"not in the registry {unknown}); score again with this config"
+            )
+    return scores_by_window

@@ -13,16 +13,12 @@ __all__ = ["Stemmer", "PorterStemmer", "ItalianStemmer", "NullStemmer", "get_ste
 class Stemmer:
     """Interface: a stemmer maps one lowercase token to its stem."""
 
-    name = "base"
-
     def stem(self, word: str) -> str:
         raise NotImplementedError
 
 
 class NullStemmer(Stemmer):
     """Pass-through stemmer (useful for tests and unstemmed graphs)."""
-
-    name = "none"
 
     def stem(self, word: str) -> str:
         return word
@@ -111,8 +107,6 @@ def _longest_suffix(word: str, suffixes) -> str | None:
 
 class PorterStemmer(Stemmer):
     """English stemmer implementing the 1980 Porter algorithm."""
-
-    name = "english"
 
     def stem(self, word: str) -> str:
         w = word.lower()
@@ -334,8 +328,6 @@ def _in_region(w: str, suffix_len: int, region_start: int) -> bool:
 
 class ItalianStemmer(Stemmer):
     """Italian stemmer implementing the Snowball Italian algorithm."""
-
-    name = "italian"
 
     def stem(self, word: str) -> str:
         w = _it_prelude(word.lower())

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
+from datetime import timedelta
 
 import pytest
 import yaml
@@ -27,6 +29,12 @@ from sbsflow.synthetic import make_fixture
 from conftest import score_fixture
 
 ARTIFACTS = [SCORES_CSV, WEEKLY_CSV, GRANGER_CSV, QUESTIONS_CSV, PLOT_CSV]
+# manifest stage names per mode, in run order
+STAGES = {
+    "run": ["registry", "ingest", "scores", "write_scores", "targets", "causality", "write_tables"],
+    "score": ["registry", "ingest", "scores", "write_scores"],
+    "test": ["registry", "read_scores", "targets", "causality", "write_tables"],
+}
 # integer config fields and their minimum values
 INTEGER_FIELDS = {"window_size": 2, "min_edge_weight": 1, "min_token_len": 1, "p_max": 1, "workers": 1}
 
@@ -281,7 +289,7 @@ class TestRunPipeline:
         assert (tmp_path / PLOT_CSV).read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []
         manifest = json.loads((tmp_path / MANIFEST_JSON).read_text())
-        assert manifest["failed_stage"] == "write_tables"
+        assert manifest["failed_stage"] == manifest["stages"][-1]["stage"] == "write_tables"
         assert PLOT_CSV not in {a["path"] for a in manifest["artifacts"]}
 
     def test_score_fixture_matches_score_dump(self, completed_run):
@@ -343,7 +351,7 @@ class TestRunPipeline:
         assert "2021-01-04" in msg and "window" in msg
         manifest = json.loads((tmp_path / "out" / MANIFEST_JSON).read_text())
         assert manifest["status"] == "failed"
-        assert manifest["failed_stage"] == "scores"
+        assert manifest["failed_stage"] == manifest["stages"][-1]["stage"] == "scores"
 
     def test_worker_count_does_not_change_bytes(self, fixture, tmp_path):
         cfg = validate_config(fixture.config_path)
@@ -359,19 +367,109 @@ class TestRunPipeline:
     def test_score_then_test_equals_run(self, fixture, tmp_path):
         cfg = validate_config(fixture.config_path)
         split = tmp_path / "split"
-        run_pipeline(cfg, out_dir=split, stage_mode="score")
+        manifests = {"score": run_pipeline(cfg, out_dir=split, stage_mode="score")}
         assert (split / SCORES_CSV).is_file()
         assert not (split / GRANGER_CSV).exists()
-        run_pipeline(cfg, out_dir=split, stage_mode="test")
+        manifests["test"] = run_pipeline(cfg, out_dir=split, stage_mode="test")
         whole = tmp_path / "whole"
-        run_pipeline(cfg, out_dir=whole, stage_mode="run")
+        manifests["run"] = run_pipeline(cfg, out_dir=whole, stage_mode="run")
         for name in ARTIFACTS:
             assert (split / name).read_bytes() == (whole / name).read_bytes(), name
+        assert {mode: [s["stage"] for s in m["stages"]] for mode, m in manifests.items()} == STAGES
+
+    def test_unset_climate_targets_leave_out_question_targets(self, completed_run, tmp_path):
+        fixture, cfg, _ = completed_run
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(cfg.output_dir / SCORES_CSV, out / SCORES_CSV)
+        conf = yaml.safe_load(_rewritten_config(fixture, out=out, question_targets=["personal"]))
+        del conf["climate_targets"]
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(conf))
+        run_pipeline(validate_config(config), stage_mode="test")
+        with (out / PLOT_CSV).open(newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header.count("target:personal") == 1
+        with (out / GRANGER_CSV).open(newline="") as fh:
+            fh.readline()  # caveat comment
+            assert {row["target"] for row in csv.DictReader(fh)} == {"climate", "economic"}
+        with (out / QUESTIONS_CSV).open(newline="") as fh:
+            fh.readline()
+            assert next(csv.reader(fh)) == ["keyword", "personal"]
 
     def test_test_mode_without_scores_fails(self, fixture, tmp_path):
         cfg = validate_config(fixture.config_path)
         with pytest.raises(PipelineError):
             run_pipeline(cfg, out_dir=tmp_path / "fresh", stage_mode="test")
+
+
+@pytest.fixture(scope="module")
+def scored_and_tested(fixture, tmp_path_factory):
+    """Output directory of `sbsflow score` then `sbsflow test` on the fixture config."""
+    out = tmp_path_factory.mktemp("scored")
+    for command in ("score", "test"):
+        assert cli_main([command, "--config", str(fixture.config_path), "--out", str(out)]) == 0
+    return out
+
+
+class TestStaleScoreDump:
+    """`sbsflow test` refuses a score dump that is not this config's windows x keywords."""
+
+    def _test_with(self, fixture, scored_and_tested, tmp_path, **overrides):
+        out = tmp_path / "out"
+        shutil.copytree(scored_and_tested, out)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(_rewritten_config(fixture, out=out, **overrides))
+        before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        rc = cli_main(["test", "--config", str(config)])
+        return rc, out, before
+
+    @pytest.mark.parametrize(
+        "weeks, mismatch",
+        [
+            (-4, "has window {n_cfg}, outside this config's windows 0..{n_cfg_last}"),
+            (4, "window {n_dump} of 0..{n_cfg_last} has 0 rows"),
+        ],
+        ids=["config_ends_earlier", "dump_ends_earlier"],
+    )
+    def test_other_date_range_refused(
+        self, fixture, scored_and_tested, tmp_path, capsys, weeks, mismatch
+    ):
+        end = validate_config(fixture.config_path).end_date + timedelta(weeks=weeks)
+        rc, out, before = self._test_with(fixture, scored_and_tested, tmp_path, end_date=end)
+        assert rc == 2
+        n_dump, n_cfg = fixture.n_windows, fixture.n_windows + weeks
+        message = mismatch.format(n_dump=n_dump, n_cfg=n_cfg, n_cfg_last=n_cfg - 1)
+        assert message in capsys.readouterr().err
+        self._assert_refused_at_read_scores(out, before)
+
+    def test_registry_with_another_label_refused(self, fixture, scored_and_tested, tmp_path, capsys):
+        registry = tmp_path / "keywords.yaml"
+        registry.write_text(fixture.registry_path.read_text() + '- label: zzextra\n  members: ["zzextra"]\n')
+        rc, out, before = self._test_with(fixture, scored_and_tested, tmp_path, registry=str(registry))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "window 0 of" in err and "missing ['zzextra']" in err
+        self._assert_refused_at_read_scores(out, before)
+
+    def test_same_length_shifted_grid_still_passes(self, fixture, scored_and_tested, tmp_path):
+        # the dump records no provenance yet, so a grid shifted by whole weeks
+        # with the same window count is still accepted
+        cfg = validate_config(fixture.config_path)
+        shift = timedelta(weeks=1)
+        rc, out, _ = self._test_with(
+            fixture, scored_and_tested, tmp_path,
+            start_date=cfg.start_date + shift, end_date=cfg.end_date + shift,
+        )
+        assert rc == 0
+        assert json.loads((out / MANIFEST_JSON).read_text())["status"] == "ok"
+
+    @staticmethod
+    def _assert_refused_at_read_scores(out, before):
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert manifest["failed_stage"] == manifest["stages"][-1]["stage"] == "read_scores"
+        assert manifest["artifacts"] == []
+        assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
 
 
 class TestCli:

@@ -9,7 +9,9 @@ smooth by construction, which is flagged in the emitted reports.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
@@ -113,24 +115,71 @@ def _check_series(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return y, x
 
 
+# A one-QR BIC result is trusted only this far above the rounding that could
+# tell it apart from the per-lag refits: the design's conditioning against
+# ``ols_fit``'s rank tolerance, and BIC gaps against their estimated rounding.
+_MARGIN = 1e3
+_EPS = float(np.finfo(float).eps)
+# smallest full-model RSS, as a share of resp'resp, that the fast path accepts
+_MIN_RSS_SHARE = 1e-10
+# |r| gap below which two lags' correlations are recomputed with np.corrcoef
+_R_TIE = 1e-9
+
+
 def select_lag_bic(y: np.ndarray, x: np.ndarray, p_max: int) -> int:
     """Smallest-BIC lag order of the unrestricted bivariate model.
 
     All candidates p = 1..p_max are fit on the common sample trimmed at
     p_max, because BIC values are only comparable on identical samples.
     Ties go to the smaller p.
+
+    One unpivoted QR of ``[1, y_1, x_1, ..., y_pmax, x_pmax, resp]`` gives
+    every candidate's RSS: the model at lag p is the first 1 + 2p columns,
+    and its RSS is the sum of squares of ``R[1+2p:, -1]``. That answer is
+    used only when it must equal the per-lag ``ols_fit`` refits: the full
+    design is well clear of the rank tolerance (so, by interlacing, is every
+    prefix), its RSS is not an exact fit, and no other lag's BIC lies within
+    rounding of the winner's. Any other pair is refit lag by lag.
     """
     y, x = _check_series(y, x)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     T = len(y)
-    if T <= 2 * p_max + 1:
-        raise ValueError(f"series too short: T={T} needs T > {2 * p_max + 1} for p_max={p_max}")
+    # the largest candidate fits 2 * p_max + 1 columns on T - p_max rows
+    if T - p_max <= 2 * p_max + 1:
+        raise ValueError(f"series too short: T={T} needs T > {3 * p_max + 1} for p_max={p_max}")
     resp, ylags, xlags = lag_design(y, x, p_max, trim=p_max)
+    t_eff = len(resp)
+    k = 2 * p_max + 1
+    A = np.empty((t_eff, k + 1))
+    A[:, 0] = 1.0
+    A[:, 1:k:2] = ylags
+    A[:, 2:k:2] = xlags
+    A[:, k] = resp
+    R = np.linalg.qr(A, mode="r")
+    ks = 1 + 2 * np.arange(1, p_max + 1)  # columns of the models at lags 1..p_max
+    rss = np.cumsum(R[::-1, k] ** 2)[::-1][ks]  # sum of squares of R[1+2p:, -1]
+    col_norm = float(np.sqrt((A[:, :k] ** 2).sum(axis=0)).max())
+    sigma_min = float(np.linalg.svd(R[:k, :k], compute_uv=False)[-1])
+    yty = float(resp @ resp)
+    # written so that a NaN anywhere sends the pair to the refits
+    if not (sigma_min > _MARGIN * col_norm * t_eff * _EPS and rss[-1] > _MIN_RSS_SHARE * yty):
+        return _select_lag_by_refits(resp, ylags, xlags)
+    bic = t_eff * np.log(rss / t_eff) + ks * math.log(t_eff)
+    best = int(np.argmin(bic))  # first minimum: ties go to the smaller p
+    # relative RSS error of a least-squares residual ~ eps * cond * |resp| / |resid|
+    rss_err = _MARGIN * _EPS * (col_norm / sigma_min) * math.sqrt(yty / rss[-1])
+    if np.count_nonzero(np.abs(bic - bic[best]) > t_eff * rss_err) != p_max - 1:
+        return _select_lag_by_refits(resp, ylags, xlags)
+    return best + 1
+
+
+def _select_lag_by_refits(resp: np.ndarray, ylags: np.ndarray, xlags: np.ndarray) -> int:
+    """BIC lag from one ``ols_fit`` per candidate, raising what the fits raise."""
     t_eff = len(resp)
     ones = np.ones((t_eff, 1))
     best_p, best_bic = 1, math.inf
-    for p in range(1, p_max + 1):
+    for p in range(1, ylags.shape[1] + 1):
         design = np.hstack([ones, ylags[:, :p], xlags[:, :p]])
         fit = ols_fit(design, resp)
         if fit.rss <= 0.0:
@@ -190,7 +239,9 @@ class CrossCorrelation:
 def cross_correlation_sign(y: np.ndarray, x: np.ndarray, max_lag: int) -> CrossCorrelation:
     """Sign of the strongest Pearson correlation corr(x_{t-l}, y_t), l = 0..max_lag.
 
-    Ties on |r| go to the smallest lag.
+    Ties on |r| go to the smallest lag. Each r comes from centred dot
+    products; lags whose |r| lies within rounding of the best are decided
+    again with ``np.corrcoef``, so ties resolve as that route resolves them.
     """
     y, x = _check_series(y, x)
     T = len(y)
@@ -200,13 +251,35 @@ def cross_correlation_sign(y: np.ndarray, x: np.ndarray, max_lag: int) -> CrossC
         raise ValueError(f"max_lag={max_lag} too large for T={T} (needs max_lag < T/4)")
     if np.ptp(y) == 0.0 or np.ptp(x) == 0.0:
         raise DegenerateSeriesError("constant series has no correlation phase")
+    # a lag whose x[:T-lag] or y[lag:] is constant has no correlation: x is
+    # constant up to its first change, y from just after its last change
+    x_first_change = int(np.argmax(x != x[0]))
+    y_last_change = T - 1 - int(np.argmax(y[::-1] != y[-1]))
+    lags = [lag for lag in range(max_lag + 1) if T - lag > x_first_change and lag <= y_last_change]
+    rs = np.empty(len(lags))
+    with np.errstate(all="ignore"):  # an under- or overflowing lag is decided below
+        for i, lag in enumerate(lags):
+            xs, ys = x[: T - lag], y[lag:]
+            xc = xs - xs.sum() / len(xs)
+            yc = ys - ys.sum() / len(ys)
+            rs[i] = (xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc))
+    r_abs = np.abs(rs)
+    if not lags or not np.isfinite(r_abs).all():
+        return _strongest_by_corrcoef(y, x, lags)
+    best = int(np.argmax(r_abs))
+    near = [lag for lag, a in zip(lags, r_abs) if a >= r_abs[best] - _R_TIE]
+    if len(near) != 1 or r_abs[best] <= _R_TIE:
+        return _strongest_by_corrcoef(y, x, near)
+    r = float(np.clip(rs[best], -1.0, 1.0))
+    return CrossCorrelation(sign="+" if r >= 0 else "-", lag=lags[best], r=r)
+
+
+def _strongest_by_corrcoef(y: np.ndarray, x: np.ndarray, lags: list[int]) -> CrossCorrelation:
+    """The first lag with the largest finite ``np.corrcoef`` |r| among ``lags``."""
+    T = len(y)
     best: CrossCorrelation | None = None
-    for lag in range(max_lag + 1):
-        xs = x[: T - lag] if lag else x
-        ys = y[lag:]
-        if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
-            continue
-        r = float(np.corrcoef(xs, ys)[0, 1])
+    for lag in lags:
+        r = float(np.corrcoef(x[: T - lag], y[lag:])[0, 1])
         if not np.isfinite(r):
             continue
         if best is None or abs(r) > abs(best.r):
@@ -246,17 +319,52 @@ def _common_grid(series: list[WeeklySeries]) -> tuple[int, ...]:
     return tuple(common)
 
 
+def _keyword_block(
+    keyword: str, x: np.ndarray, targets: list[tuple[str, np.ndarray]], p_max: int
+) -> list[GrangerResult]:
+    """One keyword against every target, in target order."""
+    results = []
+    for target, y in targets:
+        try:
+            p = select_lag_bic(y, x, p_max)
+            f_stat, p_value = granger_test(y, x, p)
+            cc = cross_correlation_sign(y, x, p_max)
+        except (DegenerateSeriesError, RankDeficientError, ValueError) as exc:
+            results.append(
+                GrangerResult(
+                    keyword=keyword, target=target, lags=None, f_stat=None,
+                    p_value=None, stars="", cc_sign="", status=str(exc),
+                )
+            )
+            continue
+        results.append(
+            GrangerResult(
+                keyword=keyword,
+                target=target,
+                lags=p,
+                f_stat=f_stat,
+                p_value=p_value,
+                stars=assign_stars(p_value),
+                cc_sign=cc.sign,
+                status="ok",
+            )
+        )
+    return results
+
+
 def run_battery(
     sbs_series: list[WeeklySeries],
     targets: list[WeeklySeries],
     p_max: int = 8,
+    workers: int = 1,
 ) -> list[GrangerResult]:
     """Test every (keyword, target) pair on the common window grid.
 
     Pairs whose test fails (constant series, degenerate fits) are reported
     with the reason in ``status`` rather than dropped. Results come back
     ordered by (keyword, target). Each pair tests keyword -> target on
-    levels.
+    levels. With ``workers`` > 1 the keywords are tested in a process pool,
+    one block per keyword; the results are the same.
     """
     if not sbs_series or not targets:
         raise ValueError("need at least one keyword series and one target series")
@@ -270,32 +378,17 @@ def run_battery(
 
     keyword_vecs = {s.name: on_grid(s) for s in sbs_series}
     target_vecs = {t.name: on_grid(t) for t in targets}
-    results = []
-    for kw in sorted(keyword_vecs):
-        for target in sorted(target_vecs):
-            y, x = target_vecs[target], keyword_vecs[kw]
-            try:
-                p = select_lag_bic(y, x, p_max)
-                f_stat, p_value = granger_test(y, x, p)
-                cc = cross_correlation_sign(y, x, p_max)
-            except (DegenerateSeriesError, RankDeficientError, ValueError) as exc:
-                results.append(
-                    GrangerResult(
-                        keyword=kw, target=target, lags=None, f_stat=None,
-                        p_value=None, stars="", cc_sign="", status=str(exc),
-                    )
-                )
-                continue
-            results.append(
-                GrangerResult(
-                    keyword=kw,
-                    target=target,
-                    lags=p,
-                    f_stat=f_stat,
-                    p_value=p_value,
-                    stars=assign_stars(p_value),
-                    cc_sign=cc.sign,
-                    status="ok",
-                )
-            )
-    return results
+    keywords = sorted(keyword_vecs)
+    block = partial(
+        _keyword_block,
+        targets=[(name, target_vecs[name]) for name in sorted(target_vecs)],
+        p_max=p_max,
+    )
+    xs = [keyword_vecs[kw] for kw in keywords]
+    if workers <= 1 or len(keywords) < 2:
+        blocks = list(map(block, keywords, xs))
+    else:
+        # map returns the blocks in keyword order regardless of scheduling
+        with ProcessPoolExecutor(max_workers=min(workers, len(keywords))) as pool:
+            blocks = list(pool.map(block, keywords, xs))
+    return [r for results in blocks for r in results]

@@ -567,7 +567,9 @@ def run_pipeline(
                 sbs_series = _keyword_series(scores_by_window, keywords)
                 climate = [weekly_by_name[n] for n in climate_names]
                 questions = [weekly_by_name[n] for n in cfg.question_targets]
-                results = causality.run_battery(sbs_series, climate + questions, p_max=cfg.p_max)
+                results = causality.run_battery(
+                    sbs_series, climate + questions, p_max=cfg.p_max, workers=workers
+                )
                 main_rows = [r for r in results if r.target in climate_set]
                 question_rows = [r for r in results if r.target in question_set]
 

@@ -3,11 +3,17 @@
 Everything here is deliberately written with different algorithms than the
 library: exhaustive path enumeration instead of Brandes, a hand-rolled
 tridiagonal solve instead of scipy's spline, normal equations instead of
-QR. Tests compare the two routes.
+QR, one ``ols_fit`` per BIC candidate instead of one QR per pair, and
+``np.corrcoef`` per lag instead of centred dot products. Tests compare the
+two routes.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from sbsflow.causality import DegenerateSeriesError, lag_design, ols_fit
 
 RTOL = 1e-12
 
@@ -162,3 +168,71 @@ def random_weighted_graph(rng, n_max=10, w_max=5):
             if rng.random() < p:
                 weights[(i, j)] = float(rng.integers(1, w_max + 1))
     return n, weights
+
+
+def _checked_series(y, x):
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.ndim != 1 or x.ndim != 1:
+        raise ValueError("series must be 1-d")
+    if len(y) != len(x):
+        raise ValueError(f"series lengths differ: {len(y)} vs {len(x)}")
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise ValueError("series contain non-finite values")
+    return y, x
+
+
+def select_lag_bic_reference(y, x, p_max):
+    """BIC lag order by refitting every candidate p = 1..p_max with ``ols_fit``.
+
+    Same sample (trimmed at p_max), same BIC formula, ties to the smaller p,
+    and the same exceptions: ``RankDeficientError`` from the first candidate
+    whose design is rank-deficient, ``exact fit at lag p`` for a zero RSS.
+    """
+    y, x = _checked_series(y, x)
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+    T = len(y)
+    if T - p_max <= 2 * p_max + 1:
+        raise ValueError(f"series too short: T={T} needs T > {3 * p_max + 1} for p_max={p_max}")
+    resp, ylags, xlags = lag_design(y, x, p_max, trim=p_max)
+    t_eff = len(resp)
+    ones = np.ones((t_eff, 1))
+    best_p, best_bic = 1, math.inf
+    for p in range(1, p_max + 1):
+        design = np.hstack([ones, ylags[:, :p], xlags[:, :p]])
+        fit = ols_fit(design, resp)
+        if fit.rss <= 0.0:
+            raise DegenerateSeriesError(f"exact fit at lag {p}; BIC undefined")
+        bic = t_eff * math.log(fit.rss / t_eff) + fit.k * math.log(t_eff)
+        if bic < best_bic:
+            best_p, best_bic = p, bic
+    return best_p
+
+
+def cross_correlation_reference(y, x, max_lag):
+    """(sign, lag, r) of the strongest ``np.corrcoef`` correlation of
+    x_{t-l} with y_t over l = 0..max_lag; ties on |r| go to the smaller lag,
+    and a lag whose slices are constant is skipped."""
+    y, x = _checked_series(y, x)
+    T = len(y)
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
+    if max_lag >= T / 4:
+        raise ValueError(f"max_lag={max_lag} too large for T={T} (needs max_lag < T/4)")
+    if np.ptp(y) == 0.0 or np.ptp(x) == 0.0:
+        raise DegenerateSeriesError("constant series has no correlation phase")
+    best = None
+    for lag in range(max_lag + 1):
+        xs = x[: T - lag] if lag else x
+        ys = y[lag:]
+        if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
+            continue
+        r = float(np.corrcoef(xs, ys)[0, 1])
+        if not np.isfinite(r):
+            continue
+        if best is None or abs(r) > abs(best[2]):
+            best = ("+" if r >= 0 else "-", lag, r)
+    if best is None:
+        raise DegenerateSeriesError("no lag produced a finite correlation")
+    return best

@@ -307,7 +307,7 @@ def test_criterion_10_worker_determinism(tmp_path):
             digests.append({name: (out / name).read_bytes() for name in DATA_ARTIFACTS})
     for other in digests[1:]:
         assert other == digests[0]
-    _ok(10, "byte-identical data artifacts across 1 vs 8 workers, 3 repetitions")
+    _ok(10, "byte-identical data artifacts across 1 vs 8 workers (scoring and battery), 3 repetitions")
 
 
 def test_criterion_11_invariant_suite(rng):

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import normal_equations_ols
+from oracles import cross_correlation_reference, normal_equations_ols, select_lag_bic_reference
+from sbsflow import causality
 from sbsflow.causality import (
+    CrossCorrelation,
     DegenerateSeriesError,
     RankDeficientError,
     assign_stars,
@@ -87,6 +93,17 @@ class TestSelectLagBic:
         y, x = rng.normal(size=10), rng.normal(size=10)
         with pytest.raises(ValueError):
             select_lag_bic(y, x, 8)
+
+    @pytest.mark.parametrize("T", range(18, 26))
+    def test_too_short_for_the_trimmed_fits_refused_up_front(self, rng, T):
+        # 8 lags leave T - 8 rows for a 17-column design: T must exceed 25
+        y, x = rng.normal(size=T), rng.normal(size=T)
+        with pytest.raises(ValueError) as err:
+            select_lag_bic(y, x, 8)
+        assert str(err.value) == f"series too short: T={T} needs T > 25 for p_max=8"
+
+    def test_shortest_accepted_length(self, rng):
+        assert 1 <= select_lag_bic(rng.normal(size=26), rng.normal(size=26), 8) <= 8
 
 
 class TestFUpperTail:
@@ -219,6 +236,18 @@ class TestCrossCorrelation:
         with pytest.raises(DegenerateSeriesError):
             cross_correlation_sign(np.ones(50), rng.normal(size=50), 4)
 
+    def test_constant_slices_skipped_though_centring_leaves_residue(self, rng):
+        # x[:T-lag] is constant 0.1 for every lag >= 1, but 0.1 minus its
+        # computed mean is not exactly zero; only lag 0 may be reported
+        T = 40
+        x = np.full(T, 0.1)
+        x[-1] = 0.2
+        y = 1e8 + np.round(4.0 * rng.normal(size=T))
+        y[-1] = y[:-1].mean()
+        cc = cross_correlation_sign(y, x, 8)
+        assert (cc.sign, cc.lag) == cross_correlation_reference(y, x, 8)[:2]
+        assert cc.lag == 0
+
     def test_max_lag_bound(self, rng):
         with pytest.raises(ValueError):
             cross_correlation_sign(rng.normal(size=40), rng.normal(size=40), 10)
@@ -278,8 +307,113 @@ class TestRunBattery:
         out = run_battery([kw], [target], p_max=3)
         assert out[0].status == "ok"
 
+    def test_too_short_pair_reported_in_status(self, rng):
+        out = run_battery([_weekly("kw", rng.normal(size=20))], [_weekly("t", rng.normal(size=20))], p_max=8)
+        assert out[0].status == "series too short: T=20 needs T > 25 for p_max=8"
+        assert out[0].lags is None
+
+    def test_two_workers_equal_one_field_for_field(self, rng):
+        kws = [_weekly(f"kw{i}", rng.normal(size=120)) for i in range(4)]
+        kws.append(_weekly("flat", np.full(120, 0.3)))
+        y, x = ar_with_cross(rng, 120)
+        kws.append(_weekly("planted", x))
+        targets = [_weekly("t", y), _weekly("noise", rng.normal(size=120))]
+        serial = run_battery(kws, targets, p_max=4)
+        pooled = run_battery(kws, targets, p_max=4, workers=2)
+        assert [astuple(r) for r in pooled] == [astuple(r) for r in serial]
+        assert {r.status == "ok" for r in serial} == {True, False}
+
     def test_disjoint_grids_fatal(self, rng):
         a = WeeklySeries(name="kw", indices=(0, 1, 2), values=(1.0, 2.0, 3.0))
         b = WeeklySeries(name="t", indices=(10, 11, 12), values=(1.0, 2.0, 3.0))
         with pytest.raises(ValueError):
             run_battery([a], [b], p_max=1)
+
+
+# kinds of generated (y, x) pairs; several are built to reach the refit and
+# np.corrcoef fallbacks: rank-deficient designs, exact fits and tied |r|
+_PAIR_KINDS = ("noise", "ar", "rounded", "same", "exact", "smooth", "trend", "steps", "near_constant")
+
+
+@st.composite
+def _series_pairs(draw):
+    kind = draw(st.sampled_from(_PAIR_KINDS))
+    p_max = draw(st.integers(min_value=1, max_value=8))
+    T = draw(st.integers(min_value=10, max_value=260))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    y, x = rng.normal(size=T), rng.normal(size=T)
+    if kind == "ar":
+        y, x = ar_with_cross(rng, T, lag=int(rng.integers(1, 4)))
+    elif kind == "rounded":
+        y, x = np.round(y), np.round(0.5 * x)
+    elif kind == "same":
+        y = x.copy()
+    elif kind == "exact":
+        y = np.r_[0.0, 2.0 * x[:-1] + 1.0]
+    elif kind == "smooth":
+        y, x = 100.0 + np.cumsum(np.cumsum(y)) / T, np.cumsum(x)
+    elif kind == "trend":
+        x = np.arange(T, dtype=float)
+        y = 3.0 * x + 1.0
+    elif kind == "steps":
+        # x changes only near its end and y only near its start, so the
+        # longer lags slice constant runs
+        x = np.full(T, 0.1)
+        x[T - 1 - int(rng.integers(0, 4))] = 1.0
+        y[int(rng.integers(1, max(2, T // 5))):] = 7.7
+    elif kind == "near_constant":
+        y, x = 100.0 + 1e-9 * y, 0.1 + 1e-13 * x
+    return y, x, p_max
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFastPathsMatchReference:
+    """The one-QR BIC and dot-product cross-correlation give the reference
+    routes' answers: the same lag and sign, or the same exception and message."""
+
+    def test_select_lag_bic(self):
+        routes = Counter()
+
+        @settings(max_examples=400)
+        @given(_series_pairs())
+        def check(case):
+            y, x, p_max = case
+            refits = mock.patch.object(
+                causality, "_select_lag_by_refits", wraps=causality._select_lag_by_refits
+            )
+            with refits as spy:
+                got = _outcome(select_lag_bic, y, x, p_max)
+            routes["refit" if spy.called else "qr"] += 1
+            assert got == _outcome(select_lag_bic_reference, y, x, p_max)
+
+        check()
+        assert routes["refit"] > 0 and routes["qr"] > 0
+
+    def test_cross_correlation_sign(self):
+        routes = Counter()
+
+        @settings(max_examples=400)
+        @given(_series_pairs())
+        def check(case):
+            y, x, max_lag = case
+            corrcoef = mock.patch.object(
+                causality, "_strongest_by_corrcoef", wraps=causality._strongest_by_corrcoef
+            )
+            with corrcoef as spy:
+                got = _outcome(cross_correlation_sign, y, x, max_lag)
+            routes["corrcoef" if spy.called else "dot"] += 1
+            want = _outcome(cross_correlation_reference, y, x, max_lag)
+            if isinstance(got, CrossCorrelation):
+                assert (got.sign, got.lag) == want[:2]
+                assert got.r == pytest.approx(want[2], abs=1e-9)
+            else:
+                assert got == want
+
+        check()
+        assert routes["corrcoef"] > 0 and routes["dot"] > 0

@@ -412,6 +412,19 @@ def scored_and_tested(fixture, tmp_path_factory):
     return out
 
 
+def test_battery_workers_leave_artifacts_identical(fixture, scored_and_tested, tmp_path):
+    # `sbsflow test` takes its worker count from the config's `workers`
+    artifacts = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        shutil.copytree(scored_and_tested, out)
+        config = tmp_path / f"w{workers}.yaml"
+        config.write_text(_rewritten_config(fixture, out=out, workers=workers))
+        assert cli_main(["test", "--config", str(config)]) == 0
+        artifacts[workers] = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    assert artifacts[1] == artifacts[2]
+
+
 class TestStaleScoreDump:
     """`sbsflow test` refuses a score dump that is not this config's windows x keywords."""
 

@@ -3,7 +3,7 @@
     sbsflow validate --config cfg.yaml
     sbsflow run      --config cfg.yaml [--workers N] [--out DIR]
     sbsflow score    --config cfg.yaml [--workers N] [--out DIR]
-    sbsflow test     --config cfg.yaml [--out DIR]
+    sbsflow test     --config cfg.yaml [--workers N] [--out DIR]
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the YAML run config")
         if name != "validate":
             p.add_argument("--out", default=None, help="output directory (default: config output_dir)")
-        if name in ("run", "score"):
             p.add_argument("--workers", type=int, default=None, help="worker processes (default: config)")
     return parser
 

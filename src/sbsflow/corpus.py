@@ -171,7 +171,6 @@ def build_windows(start: date, end: date) -> list[TimeWindow]:
 
 @dataclass
 class WindowAssignment:
-    windows: list[TimeWindow]
     by_window: dict[int, list[Document]]
     excluded: int
 
@@ -180,14 +179,15 @@ class WindowAssignment:
         return sum(len(v) for v in self.by_window.values())
 
 
-def assign_windows(docs, start: date, end: date) -> WindowAssignment:
-    """Bucket documents into their window; out-of-range documents are counted.
+def assign_windows(docs, windows: list[TimeWindow], end: date) -> WindowAssignment:
+    """Bucket documents into ``windows``; out-of-range documents are counted.
 
-    Every document with start <= published_at < end lands in exactly one
-    window regardless of input order, so shards of the corpus can be
-    assigned independently and merged.
+    ``windows`` is the run's grid, ``build_windows(start, end)``. Every
+    document with start <= published_at < end lands in exactly one window
+    regardless of input order, so shards of the corpus can be assigned
+    independently and merged.
     """
-    windows = build_windows(start, end)
+    start = windows[0].start_date
     by_window: dict[int, list[Document]] = {w.index: [] for w in windows}
     excluded = 0
     for doc in docs:
@@ -196,4 +196,4 @@ def assign_windows(docs, start: date, end: date) -> WindowAssignment:
             continue
         idx = (doc.published_at - start).days // 7
         by_window[idx].append(doc)
-    return WindowAssignment(windows=windows, by_window=by_window, excluded=excluded)
+    return WindowAssignment(by_window=by_window, excluded=excluded)

@@ -9,7 +9,9 @@ keyword is scored on three dimensions over that graph:
 * connectivity — unnormalized weighted betweenness: the fraction of
   shortest paths between other node pairs passing through the node,
   summed over pairs, with edge length 1/weight so frequent co-occurrence
-  means proximity.
+  means proximity. It is computed with numpy over all sources of a window
+  and certified to return exactly the floats of Brandes' heap loop, which
+  it falls back to when the certificate fails.
 
 Each dimension is z-scored against all words of the window, and the
 composite score is the sum of the three z-scores.
@@ -21,6 +23,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 __all__ = [
     "WordGraph",
@@ -39,6 +45,12 @@ __all__ = [
 # relative tolerance for classifying co-shortest paths; 1/w arithmetic
 # creates exact ties only up to rounding
 PATH_TIE_RTOL = 1e-12
+# most (source x edge) elements one block of betweenness sources works on
+_BLOCK_ELEMENTS = 1 << 16
+# settle-order sweeps before a window gives up and runs the heap loop
+_MAX_SWEEPS = 8
+# float path counts are exact integers only below this
+_EXACT_COUNT = 2.0**53
 
 
 class WordGraph:
@@ -154,7 +166,139 @@ def connectivity(graph: WordGraph) -> dict[str, float]:
     fraction of shortest paths between j and k that pass through i. All
     co-shortest paths count through path multiplicities; ties are
     classified with a relative tolerance, never broken arbitrarily.
-    Sources are processed in node-index order so results are deterministic.
+
+    The values are exactly those of ``_connectivity_by_heap``, computed with
+    numpy over blocks of sources. Each block's recorded distances are
+    certified to be the heap loop's (see ``_block_dependencies``); a window
+    whose certificate fails runs the heap loop instead.
+    """
+    n = graph.n
+    score = np.zeros(n)
+    if graph.edges:
+        i, j, w = (np.array(c) for c in zip(*graph.edges))
+        with np.errstate(over="ignore"):  # 1/w of a subnormal weight is inf
+            length = 1.0 / w
+        if not np.all(np.isfinite(length) & (length > 0.0)):
+            return _connectivity_by_heap(graph)  # csgraph reads a zero length as no edge
+        matrix = csr_matrix(
+            (np.concatenate((length, length)), (np.concatenate((i, j)), np.concatenate((j, i)))),
+            shape=(n, n),
+        )
+        # an isolated source adds nothing to any score
+        sources = np.flatnonzero(np.diff(matrix.indptr))
+        per_block = max(1, _BLOCK_ELEMENTS // max(len(length), n))
+        for first in range(0, len(sources), per_block):
+            block = sources[first : first + per_block]
+            delta = _block_dependencies(matrix, block, i, j, length)
+            if delta is None:
+                return _connectivity_by_heap(graph)
+            # one source at a time, in index order, as the heap loop adds them
+            for row in delta:
+                score += row
+    return dict(zip(graph.nodes, (score / 2.0).tolist()))
+
+
+def _block_dependencies(matrix, sources, i, j, length):
+    """Brandes dependencies ``delta[b, v]`` of each source ``sources[b]``,
+    its own entry zeroed, or None when the heap's order is not certified.
+
+    The heap loop settles nodes in ``(d, v)`` order, where d is the distance
+    it recorded: the candidate ``d_pred + 1/w`` at which it last reset the
+    node. Starting from csgraph's distances, each sweep takes the settle
+    order of the current distances R, finds every node's tight candidates
+    (``_close`` to R[u], from neighbours settled earlier) and rebuilds R
+    along the first-settled tight predecessors, until R repeats bitwise. A
+    repeated R is the heap's when no candidate that is not tight lies below
+    R[u]: the heap then resets every node at its first tight candidate, adds
+    each later tight one as a tie and ignores the rest, so it records the
+    same R, settles in the same order and keeps the same predecessors.
+    Path counts are integers, exact in any order below 2**53. Dependencies
+    are accumulated one settle rank at a time, so each ``(source, v)``
+    receives its terms in the heap's reversed settle order.
+    """
+    n = matrix.shape[0]
+    b = len(sources)
+    rows = np.arange(b)
+    row_base = (rows * n)[:, None]
+    at_source = rows * n + sources
+    sources_only = np.full(b * n, np.inf)  # flat (source, node) distances, sources set
+    sources_only[at_source] = 0.0
+    dist = dijkstra(matrix, directed=True, indices=sources)
+    reached = np.isfinite(dist)
+    for _ in range(_MAX_SWEEPS):
+        rank = np.empty((b, n), dtype=np.intp)
+        rank[rows[:, None], np.argsort(dist, axis=1, kind="stable")] = np.arange(n)
+        rank[~reached] = n  # never settled
+        # finite, so no inf - inf; an edge between unreached nodes is never tight
+        d = np.where(reached, dist, 0.0)
+        # each edge seen from the endpoint settled first (pred) to the other (node)
+        rank_i, rank_j = rank[:, i], rank[:, j]
+        i_first = rank_i < rank_j
+        d_i, d_j = d[:, i], d[:, j]
+        d_node = np.where(i_first, d_j, d_i)
+        cand = np.where(i_first, d_i, d_j) + length
+        tight = np.abs(cand - d_node) <= PATH_TIE_RTOL * np.maximum(np.abs(cand), np.abs(d_node))
+        at = np.flatnonzero(tight)
+        pred = (row_base + np.where(i_first, i, j)).ravel()[at]
+        node = (row_base + np.where(i_first, j, i)).ravel()[at]
+        pred_rank = np.minimum(rank_i, rank_j).ravel()[at]
+        node_rank = np.maximum(rank_i, rank_j).ravel()[at]
+        first = np.full(b * n, n)
+        np.minimum.at(first, node, pred_rank)
+        chosen = pred_rank == first[node]
+        recorded = sources_only.copy()
+        recorded[node[chosen]] = cand.ravel()[at[chosen]]
+        recorded = recorded.reshape(b, n)
+        if np.isinf(recorded[reached]).any():
+            return None  # a reached node without a tight predecessor
+        if np.array_equal(recorded, dist):
+            break
+        # rebuild R root to leaf, so a change reaches every descendant now
+        tree = np.flatnonzero(chosen)
+        order, bounds = _by_rank(node_rank[tree], n)
+        tree = tree[order]
+        tree_pred, tree_node = pred[tree], node[tree]
+        tree_length = length[at[tree] % len(length)]
+        recorded = sources_only.copy()
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            recorded[tree_node[lo:hi]] = recorded[tree_pred[lo:hi]] + tree_length[lo:hi]
+        dist = recorded.reshape(b, n)
+    else:
+        return None
+    if (~tight & (cand < d_node)).any():
+        return None  # the heap would have reset that node below R
+    order, bounds = _by_rank(node_rank, n)
+    pred, node = pred[order], node[order]
+    groups = [(lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:]) if lo < hi]
+    sigma = np.zeros(b * n)
+    sigma[at_source] = 1.0
+    for lo, hi in groups:
+        np.add.at(sigma, node[lo:hi], sigma[pred[lo:hi]])
+    if sigma.max() >= _EXACT_COUNT:
+        return None
+    delta = np.zeros(b * n)
+    for lo, hi in reversed(groups):
+        v, u = pred[lo:hi], node[lo:hi]
+        delta[v] += sigma[v] / sigma[u] * (1.0 + delta[u])
+    delta = delta.reshape(b, n)
+    delta[rows, sources] = 0.0
+    return delta
+
+
+def _by_rank(ranks, n):
+    """Stable order of ``ranks`` (each < n) and the bounds of each rank's run."""
+    # the smallest unsigned type holding n, which numpy sorts stably by radix
+    order = np.argsort(ranks.astype(np.min_scalar_type(n)), kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ranks, minlength=n))))
+    return order, bounds
+
+
+def _connectivity_by_heap(graph: WordGraph) -> dict[str, float]:
+    """Brandes' algorithm with a binary heap, one source at a time.
+
+    The reference ``connectivity`` must equal float for float, and its
+    fallback when a window's settle order cannot be certified. Sources are
+    processed in node-index order so results are deterministic.
     """
     n = graph.n
     score = [0.0] * n

@@ -26,6 +26,7 @@ from . import causality, network, series, textproc
 from .corpus import (
     IngestConfig,
     IngestReport,
+    TimeWindow,
     WindowAssignment,
     assign_windows,
     build_windows,
@@ -304,9 +305,10 @@ def score_window(
     """Score ``keywords`` on the texts of one window's documents.
 
     A pure function of its arguments, so windows can be scored in any
-    process and order.
+    process and order. Each distinct token of the window is stemmed once.
     """
-    sequences = [textproc.normalize_document(text, text_cfg) for text in texts]
+    stems: dict[str, str] = {}
+    sequences = [textproc.normalize_document(text, text_cfg, stems) for text in texts]
     prev = network.prevalence(sequences)
     records = textproc.merge_cooccurrences(
         textproc.sequence_cooccurrences(seq, text_cfg.window_size) for seq in sequences
@@ -321,6 +323,7 @@ def score_window(
 
 
 def _score_windows(
+    windows: list[TimeWindow],
     assignment: WindowAssignment,
     text_cfg: textproc.TextConfig,
     keywords: list[str],
@@ -328,7 +331,7 @@ def _score_windows(
     workers: int,
 ) -> list[list[SbsScore]]:
     """Each window's scores, in window order."""
-    indices = [w.index for w in assignment.windows]
+    indices = [w.index for w in windows]
     texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
     score = partial(
         score_window,
@@ -513,7 +516,7 @@ def run_pipeline(
             with stage("ingest"):
                 report = IngestReport()
                 docs = list(load_corpus(cfg.corpus_path, cfg.ingest, report))
-                assignment = assign_windows(docs, cfg.start_date, cfg.end_date)
+                assignment = assign_windows(docs, windows, cfg.end_date)
                 manifest["corpus"] = {
                     "records": report.records,
                     "loaded": report.loaded,
@@ -531,7 +534,7 @@ def run_pipeline(
                         f"{first.index}..{last.index} "
                         f"({first.start_date.isoformat()}..{last.end_date.isoformat()})"
                     )
-                scores_by_window = _score_windows(assignment, text_cfg, keywords, cfg, workers)
+                scores_by_window = _score_windows(windows, assignment, text_cfg, keywords, cfg, workers)
 
             with stage("write_scores"):
                 artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(starts, scores_by_window)))

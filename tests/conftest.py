@@ -17,7 +17,7 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-from sbsflow.corpus import assign_windows, load_corpus  # noqa: E402
+from sbsflow.corpus import assign_windows, build_windows, load_corpus  # noqa: E402
 from sbsflow.keywords import compile_canonical_map, parse_registry  # noqa: E402
 from sbsflow.pipeline import load_stopwords, score_window  # noqa: E402
 from sbsflow.series import WeeklySeries  # noqa: E402
@@ -43,20 +43,21 @@ def score_fixture(fx, language="english", stopwords_path=None):
     import yaml
 
     conf = yaml.safe_load(fx.config_path.read_text())
-    assignment = assign_windows(docs, conf["start_date"], conf["end_date"])
+    windows = build_windows(conf["start_date"], conf["end_date"])
+    assignment = assign_windows(docs, windows, conf["end_date"])
     labels = sorted(s.label for s in sets)
     per_kw: dict[str, list[float]] = {kw: [] for kw in labels}
-    for w in assignment.windows:
+    for w in windows:
         texts = [d.text() for d in assignment.by_window[w.index]]
         scores = score_window(texts, w.index, cfg, labels, min_edge_weight=1)
         for score in scores:
             per_kw[score.keyword].append(score.sbs)
-    n = len(assignment.windows)
+    n = len(windows)
     out = {
         kw: WeeklySeries(name=kw, indices=tuple(range(n)), values=tuple(vals))
         for kw, vals in per_kw.items()
     }
-    return assignment.windows, out
+    return windows, out
 
 
 @pytest.fixture

@@ -353,7 +353,8 @@ def test_criterion_11_invariant_suite(rng):
         Document(f"d{i}", start + timedelta(days=int(off)), "", "")
         for i, off in enumerate(rng.integers(-20, 100, size=80))
     ]
-    out = assign_windows(docs, start, start + timedelta(days=70))
+    end = start + timedelta(days=70)
+    out = assign_windows(docs, build_windows(start, end), end)
     assert out.assigned + out.excluded == len(docs)
 
     # adjacent-pair count conservation at window 2

@@ -120,17 +120,23 @@ class TestLoadCorpus:
         assert docs[0].published_at == date(2020, 2, 1)
 
 
+def assign(docs, start, end):
+    """The run's grid for [start, end) and the documents bucketed into it."""
+    windows = build_windows(start, end)
+    return windows, assign_windows(docs, windows, end)
+
+
 class TestWindows:
     def test_doc_on_start_lands_in_window_zero(self):
         start = date(2020, 1, 6)
         doc = Document("a", start, "", "")
-        out = assign_windows([doc], start, start + timedelta(days=14))
+        _, out = assign([doc], start, start + timedelta(days=14))
         assert out.by_window[0] == [doc]
 
     def test_doc_on_start_plus_seven_lands_in_window_one(self):
         start = date(2020, 1, 6)
         doc = Document("a", start + timedelta(days=7), "", "")
-        out = assign_windows([doc], start, start + timedelta(days=14))
+        _, out = assign([doc], start, start + timedelta(days=14))
         assert out.by_window[1] == [doc]
         assert out.by_window[0] == []
 
@@ -141,8 +147,8 @@ class TestWindows:
             Document(f"d{i}", start + timedelta(days=(i % 4) * 7 + (i // 4) % 7), "", "")
             for i in range(100)
         ]
-        out = assign_windows(docs, start, start + timedelta(days=28))
-        assert len(out.windows) == 4
+        windows, out = assign(docs, start, start + timedelta(days=28))
+        assert len(windows) == 4
         # oracle: brute-force date arithmetic per document
         expected = {i: 0 for i in range(4)}
         for d in docs:
@@ -156,9 +162,19 @@ class TestWindows:
             Document("late", start + timedelta(days=14), "", ""),
             Document("in", start + timedelta(days=3), "", ""),
         ]
-        out = assign_windows(docs, start, start + timedelta(days=14))
+        _, out = assign(docs, start, start + timedelta(days=14))
         assert out.excluded == 2
         assert out.assigned == 1
+
+    def test_doc_in_the_overhang_of_the_last_window_excluded(self):
+        # the last window runs past `end`; documents dated there stay out
+        start = date(2020, 1, 6)
+        docs = [Document("in", start + timedelta(days=9), "", ""),
+                Document("overhang", start + timedelta(days=12), "", "")]
+        windows, out = assign(docs, start, start + timedelta(days=10))
+        assert windows[-1].end_date == start + timedelta(days=14)
+        assert out.by_window == {0: [], 1: [docs[0]]}
+        assert out.excluded == 1
 
     def test_start_after_end_fatal(self):
         with pytest.raises(CorpusError):
@@ -182,9 +198,9 @@ class TestWindows:
             Document(f"d{i}", start + timedelta(days=off), "", "")
             for i, off in enumerate(offsets)
         ]
-        out = assign_windows(docs, start, end)
+        windows, out = assign(docs, start, end)
         assert out.assigned + out.excluded == len(docs)
-        for w in out.windows:
+        for w in windows:
             for doc in out.by_window[w.index]:
                 assert w.start_date <= doc.published_at < w.end_date
 
@@ -195,10 +211,10 @@ class TestWindows:
             Document(f"d{i}", start + timedelta(days=(i * 5) % 80), "", "")
             for i in range(200)
         ]
-        whole = assign_windows(docs, start, end)
-        merged: dict[int, list] = {w.index: [] for w in whole.windows}
+        windows, whole = assign(docs, start, end)
+        merged: dict[int, list] = {w.index: [] for w in windows}
         for shard in (docs[:67], docs[67:150], docs[150:]):
-            part = assign_windows(shard, start, end)
+            part = assign_windows(shard, windows, end)
             for idx, items in part.by_window.items():
                 merged[idx].extend(items)
         assert {k: [d.id for d in v] for k, v in merged.items()} == {
@@ -211,6 +227,6 @@ class TestWindows:
         runs = []
         for _ in range(2):
             docs = list(load_corpus(p))
-            out = assign_windows(docs, date(2020, 1, 1), date(2020, 2, 1))
+            _, out = assign(docs, date(2020, 1, 1), date(2020, 2, 1))
             runs.append({k: [d.id for d in v] for k, v in out.by_window.items()})
         assert runs[0] == runs[1]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import betweenness_by_enumeration, random_weighted_graph
+from sbsflow import network
 from sbsflow.network import (
     WordGraph,
     build_graph,
@@ -198,6 +200,107 @@ class TestConnectivity:
         c1, c2 = connectivity(g1), connectivity(g2)
         for node in c1:
             assert c1[node] == pytest.approx(c2[node], abs=1e-9)
+
+
+def assert_equals_heap_loop(graph, fallbacks):
+    """``connectivity`` returns the heap loop's floats, having run the heap
+    loop ``fallbacks`` times (0 or 1)."""
+    spy = mock.patch.object(network, "_connectivity_by_heap", wraps=network._connectivity_by_heap)
+    with spy as heap:
+        got = connectivity(graph)
+    assert heap.call_count == fallbacks
+    expected = network._connectivity_by_heap(graph)
+    assert list(got) == list(expected)
+    assert [repr(v) for v in got.values()] == [repr(v) for v in expected.values()]
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    # weights whose 1/w sums tie exactly in arithmetic and within ulps in floats
+    n = draw(st.integers(min_value=2, max_value=22))
+    cells = draw(
+        st.lists(
+            st.sampled_from([0, 0, 0, 1, 2, 3, 4, 6, 12]),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        )
+    )
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return graph_from_ints(n, {pair: float(w) for pair, w in zip(pairs, cells) if w})
+
+
+def diamond_chain(weights):
+    """Diamonds in series: node 3k reaches 3k+3 through 3k+1 and 3k+2, with
+    edge weights ``(w1, w2, w3, w4)`` per diamond."""
+    edges = {}
+    for k, (w1, w2, w3, w4) in enumerate(weights):
+        top, a, b, bottom = (f"n{3 * k + d:03d}" for d in range(4))
+        edges.update({(top, a): w1, (a, bottom): w2, (top, b): w3, (b, bottom): w4})
+    return WordGraph(edges)
+
+
+class TestConnectivityFastPath:
+    """``connectivity`` returns the heap loop's floats, or runs the heap loop."""
+
+    @given(tie_heavy_graphs())
+    def test_equals_heap_loop_on_integer_weights(self, graph):
+        assert_equals_heap_loop(graph, fallbacks=0)
+
+    def test_near_tie_takes_the_fallback(self):
+        # three routes to node 4 of lengths a < b < c, b within the tie
+        # tolerance of a and of c but a and c apart, found in the order c, b,
+        # a: the heap records c, adds b as a tie, then resets to a alone
+        a = 3.0
+        b, c = a * (1 + 0.8 * network.PATH_TIE_RTOL), a * (1 + 1.6 * network.PATH_TIE_RTOL)
+        lengths = {(0, 1): 1.0, (0, 2): 1.1, (0, 3): 1.2, (4, 5): 1.0}
+        lengths.update({(1, 4): c - 1.0, (2, 4): b - 1.1, (3, 4): a - 1.2})
+        assert_equals_heap_loop(
+            graph_from_ints(6, {pair: 1.0 / length for pair, length in lengths.items()}),
+            fallbacks=1,
+        )
+        # the same topology with one weight throughout is certified
+        assert_equals_heap_loop(graph_from_ints(6, dict.fromkeys(lengths, 1.0)), fallbacks=0)
+
+    def test_ulp_ties_deep_in_a_chain_are_certified(self):
+        # 1/3 + 1/6 and 1/6 + 1/3 tie within ulps diamond after diamond, so a
+        # recorded distance that moves early moves every distance below it
+        rng = np.random.default_rng(11)
+        weights = [tuple(float(x) for x in rng.permutation([3, 6, 6, 3])) for _ in range(30)]
+        assert_equals_heap_loop(diamond_chain(weights), fallbacks=0)
+
+    def test_path_counts_past_2_53_take_the_fallback(self):
+        # 2**54 shortest paths from one end of the chain to the other
+        assert_equals_heap_loop(diamond_chain([(1.0, 1.0, 1.0, 1.0)] * 54), fallbacks=1)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # 1/w vanishes or overflows: csgraph reads a zero length as no edge
+            {("a", "b"): math.inf, ("b", "c"): 1.0},
+            {("a", "b"): 1e-310, ("b", "c"): 1.0},
+            # n1 -> n0 is shorter than an ulp of the distance, so from n2 the
+            # heap settles n1 before n0 at the same distance, out of index order
+            {("n1", "n2"): 1.0, ("n0", "n1"): 1e17},
+        ],
+        ids=["infinite_weight", "subnormal_weight", "sub_ulp_length"],
+    )
+    def test_lengths_outside_the_certificate_take_the_fallback(self, edges):
+        assert_equals_heap_loop(WordGraph(edges), fallbacks=1)
+
+    def test_sources_split_over_blocks(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 25
+        weights = {
+            (a, b): float(rng.choice([1, 2, 3, 4, 6, 12]))
+            for a in range(n) for b in range(a + 1, n) if rng.random() < 0.2
+        }
+        graph = graph_from_ints(n, weights)
+        per_source = max(len(graph.edges), graph.n)
+        monkeypatch.setattr(network, "_BLOCK_ELEMENTS", 3 * per_source)  # 3 sources a block
+        spy = mock.patch.object(network, "_block_dependencies", wraps=network._block_dependencies)
+        with spy as blocks:
+            assert_equals_heap_loop(graph, fallbacks=0)
+        assert blocks.call_count == -(-sum(1 for nbrs in graph.adj if nbrs) // 3) > 1
 
 
 class TestStandardize:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from collections import Counter
 from datetime import timedelta
 
 import pytest
@@ -22,9 +23,12 @@ from sbsflow.pipeline import (
     ConfigError,
     PipelineError,
     run_pipeline,
+    score_window,
     validate_config,
 )
+from sbsflow.stemming import PorterStemmer
 from sbsflow.synthetic import make_fixture
+from sbsflow.textproc import TextConfig
 
 from conftest import score_fixture
 
@@ -412,15 +416,36 @@ def scored_and_tested(fixture, tmp_path_factory):
     return out
 
 
+class CountingStemmer(PorterStemmer):
+    def __init__(self):
+        self.calls: Counter = Counter()
+
+    def stem(self, word):
+        self.calls[word] += 1
+        return super().stem(word)
+
+
+def test_score_window_stems_each_distinct_token_once():
+    texts = ["Markets fell. Markets and prices fell again!", "Prices rose; markets rose."]
+    words = {"markets", "fell", "prices", "again", "rose"}
+    counting = CountingStemmer()
+    cfg = TextConfig(stemmer=counting, stopwords=frozenset({"and"}))
+    scores = score_window(texts, 4, cfg, ["market", "price"], min_edge_weight=1)
+    assert counting.calls == Counter(dict.fromkeys(words, 1))
+    # the memo lives for one window: the next call stems every token again
+    assert score_window(texts, 4, cfg, ["market", "price"], min_edge_weight=1) == scores
+    assert counting.calls == Counter(dict.fromkeys(words, 2))
+    plain = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"and"}))
+    assert score_window(texts, 4, plain, ["market", "price"], min_edge_weight=1) == scores
+
+
 def test_battery_workers_leave_artifacts_identical(fixture, scored_and_tested, tmp_path):
-    # `sbsflow test` takes its worker count from the config's `workers`
     artifacts = {}
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
         shutil.copytree(scored_and_tested, out)
-        config = tmp_path / f"w{workers}.yaml"
-        config.write_text(_rewritten_config(fixture, out=out, workers=workers))
-        assert cli_main(["test", "--config", str(config)]) == 0
+        argv = ["test", "--config", str(fixture.config_path), "--out", str(out)]
+        assert cli_main([*argv, "--workers", str(workers)]) == 0
         artifacts[workers] = {name: (out / name).read_bytes() for name in ARTIFACTS}
     assert artifacts[1] == artifacts[2]
 
@@ -502,6 +527,13 @@ class TestCli:
         argv = ["score", "--config", str(fixture.config_path), "--out", str(out)]
         assert cli_main([*argv, "--workers", str(workers)]) == 1
         assert f"--workers: expected an integer >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_test_subcommand_refuses_nonpositive_workers(self, fixture, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["test", "--config", str(fixture.config_path), "--out", str(out)]
+        assert cli_main([*argv, "--workers", "0"]) == 1
+        assert "--workers: expected an integer >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_success_exit_0(self, fixture, tmp_path, capsys):

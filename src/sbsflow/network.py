@@ -46,7 +46,7 @@ __all__ = [
 # creates exact ties only up to rounding
 PATH_TIE_RTOL = 1e-12
 # most (source x edge) elements one block of betweenness sources works on
-_BLOCK_ELEMENTS = 1 << 16
+_BLOCK_ELEMENTS = 1 << 18
 # settle-order sweeps before a window gives up and runs the heap loop
 _MAX_SWEEPS = 8
 # float path counts are exact integers only below this
@@ -206,8 +206,8 @@ def _block_dependencies(matrix, sources, i, j, length):
     it recorded: the candidate ``d_pred + 1/w`` at which it last reset the
     node. Starting from csgraph's distances, each sweep takes the settle
     order of the current distances R, finds every node's tight candidates
-    (``_close`` to R[u], from neighbours settled earlier) and rebuilds R
-    along the first-settled tight predecessors, until R repeats bitwise. A
+    (``_close`` to R[u], from neighbours settled earlier) and sets R[u] to
+    its first-settled tight candidate, until R repeats bitwise. A
     repeated R is the heap's when no candidate that is not tight lies below
     R[u]: the heap then resets every node at its first tight candidate, adds
     each later tight one as a tie and ignores the rest, so it records the
@@ -253,16 +253,7 @@ def _block_dependencies(matrix, sources, i, j, length):
             return None  # a reached node without a tight predecessor
         if np.array_equal(recorded, dist):
             break
-        # rebuild R root to leaf, so a change reaches every descendant now
-        tree = np.flatnonzero(chosen)
-        order, bounds = _by_rank(node_rank[tree], n)
-        tree = tree[order]
-        tree_pred, tree_node = pred[tree], node[tree]
-        tree_length = length[at[tree] % len(length)]
-        recorded = sources_only.copy()
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            recorded[tree_node[lo:hi]] = recorded[tree_pred[lo:hi]] + tree_length[lo:hi]
-        dist = recorded.reshape(b, n)
+        dist = recorded
     else:
         return None
     if (~tight & (cand < d_node)).any():

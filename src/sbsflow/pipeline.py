@@ -15,7 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
@@ -35,7 +35,7 @@ from .corpus import (
 from .keywords import compile_canonical_map, fixture_path, parse_registry
 from .network import SbsScore
 from .series import WeeklySeries
-from .stemming import get_stemmer
+from .stemming import Stemmer, get_stemmer
 
 __all__ = [
     "RunConfig",
@@ -294,6 +294,21 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
+class _StemMemo:
+    """A token -> stem dict in front of a stemmer: each distinct token is
+    stemmed once, by the wrapped stemmer's ``stem``."""
+
+    def __init__(self, stemmer: Stemmer):
+        self._stemmer = stemmer
+        self._stems: dict[str, str] = {}
+
+    def stem(self, word: str) -> str:
+        stem = self._stems.get(word)
+        if stem is None:
+            stem = self._stems[word] = self._stemmer.stem(word)
+        return stem
+
+
 def score_window(
     texts: list[str],
     window_index: int,
@@ -307,8 +322,8 @@ def score_window(
     A pure function of its arguments, so windows can be scored in any
     process and order. Each distinct token of the window is stemmed once.
     """
-    stems: dict[str, str] = {}
-    sequences = [textproc.normalize_document(text, text_cfg, stems) for text in texts]
+    window_cfg = replace(text_cfg, stemmer=_StemMemo(text_cfg.stemmer))
+    sequences = [textproc.normalize_document(text, window_cfg) for text in texts]
     prev = network.prevalence(sequences)
     records = textproc.merge_cooccurrences(
         textproc.sequence_cooccurrences(seq, text_cfg.window_size) for seq in sequences

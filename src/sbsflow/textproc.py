@@ -113,46 +113,35 @@ def normalize(
     stopwords: frozenset[str] | set[str],
     stemmer: Stemmer,
     canonical: "CanonicalMap | None" = None,
-    stems: dict[str, str] | None = None,
 ) -> list[str]:
     """Stop-word removal, then stemming, then keyword canonicalization.
 
     Multi-word keyword phrases are collapsed to their canonical label before
     stemming; single-word members are matched on the stemmed form. Canonical
     labels pass through untouched, so the function is a fixed point on its
-    own output for the stop-word and canonicalization stages. ``stems`` is a
-    token -> stem memo in front of ``stemmer.stem``; calls that share one
-    stem each distinct token once.
+    own output for the stop-word and canonicalization stages.
     """
-    if stems is None:
-        stems = {}
     kept = [t for t in tokens if t not in stopwords]
     if canonical is not None and canonical.phrases:
         kept = _apply_phrases(kept, canonical)
+    if canonical is None:
+        return [stemmer.stem(tok) for tok in kept]
     out = []
     for tok in kept:
-        if canonical is not None and tok in canonical.labels:
+        if tok in canonical.labels:
             out.append(tok)
             continue
-        stem = stems.get(tok)
-        if stem is None:
-            stem = stems[tok] = stemmer.stem(tok)
-        out.append(stem if canonical is None else canonical.stem_map.get(stem, stem))
+        stem = stemmer.stem(tok)
+        out.append(canonical.stem_map.get(stem, stem))
     return out
 
 
-def normalize_document(
-    text: str, cfg: TextConfig, stems: dict[str, str] | None = None
-) -> TokenSequence:
-    """Full per-document pipeline producing sentence-grouped canonical tokens.
-
-    ``stems`` is the token -> stem memo of ``normalize``; pass one dict to
-    every document of a window to stem each distinct token once.
-    """
+def normalize_document(text: str, cfg: TextConfig) -> TokenSequence:
+    """Full per-document pipeline producing sentence-grouped canonical tokens."""
     sentences = []
     for part in split_sentences(text):
         toks = tokenize(part, cfg.min_token_len)
-        norm = normalize(toks, cfg.stopwords, cfg.stemmer, cfg.canonical, stems)
+        norm = normalize(toks, cfg.stopwords, cfg.stemmer, cfg.canonical)
         if norm:
             sentences.append(tuple(norm))
     return TokenSequence(sentences=tuple(sentences))

@@ -261,12 +261,14 @@ class TestConnectivityFastPath:
         # the same topology with one weight throughout is certified
         assert_equals_heap_loop(graph_from_ints(6, dict.fromkeys(lengths, 1.0)), fallbacks=0)
 
-    def test_ulp_ties_deep_in_a_chain_are_certified(self):
-        # 1/3 + 1/6 and 1/6 + 1/3 tie within ulps diamond after diamond, so a
-        # recorded distance that moves early moves every distance below it
+    def test_recorded_distances_that_do_not_settle_take_the_fallback(self):
+        # 1/3 + 1/6 and 1/6 + 1/3 tie within ulps diamond after diamond, and
+        # each sweep carries a moved recorded distance only a step down the
+        # chain: a short chain settles, a long one runs out of sweeps
         rng = np.random.default_rng(11)
         weights = [tuple(float(x) for x in rng.permutation([3, 6, 6, 3])) for _ in range(30)]
-        assert_equals_heap_loop(diamond_chain(weights), fallbacks=0)
+        assert_equals_heap_loop(diamond_chain(weights[:4]), fallbacks=0)
+        assert_equals_heap_loop(diamond_chain(weights), fallbacks=1)
 
     def test_path_counts_past_2_53_take_the_fallback(self):
         # 2**54 shortest paths from one end of the chain to the other

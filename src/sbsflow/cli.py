@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import ConfigError, run_pipeline, validate_config
+from .config import ConfigError, validate_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,6 +49,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         print(f"config ok: {args.config}")
         return 0
+    # the numeric stack loads only for a command that runs the pipeline
+    from .pipeline import run_pipeline
+
     try:
         manifest = run_pipeline(
             cfg,

@@ -74,8 +74,8 @@ class WordGraph:
                 raise ValueError(f"self-loop on {a!r}")
             if a > b:
                 raise ValueError(f"unordered edge key ({a!r}, {b!r}); expected a < b")
-            if w <= 0:
-                raise ValueError(f"non-positive weight on ({a!r}, {b!r})")
+            if not 0 < w < math.inf:  # also refuses NaN
+                raise ValueError(f"weight {w!r} on ({a!r}, {b!r}); expected a finite positive number")
             names.add(a)
             names.add(b)
         self.window_index = window_index
@@ -178,8 +178,8 @@ def connectivity(graph: WordGraph) -> dict[str, float]:
         i, j, w = (np.array(c) for c in zip(*graph.edges))
         with np.errstate(over="ignore"):  # 1/w of a subnormal weight is inf
             length = 1.0 / w
-        if not np.all(np.isfinite(length) & (length > 0.0)):
-            return _connectivity_by_heap(graph)  # csgraph reads a zero length as no edge
+        if not np.all(np.isfinite(length)):
+            return _connectivity_by_heap(graph)
         matrix = csr_matrix(
             (np.concatenate((length, length)), (np.concatenate((i, j)), np.concatenate((j, i)))),
             shape=(n, n),

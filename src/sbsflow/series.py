@@ -14,7 +14,7 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .corpus import TimeWindow
 
@@ -132,6 +132,40 @@ def month_anchors(monthly: MonthlySeries, windows: list[TimeWindow]) -> list[int
     return anchors
 
 
+def _natural_spline(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The natural cubic spline through ``(x, y)``, evaluated at ``grid``.
+
+    Reproduces ``scipy.interpolate.CubicSpline(x, y, bc_type="natural")(grid)``
+    operation for operation, so the values are the same floats: the same
+    banded system for the knot slopes, the same Hermite coefficients, and
+    PPoly's evaluation order on the interval holding each point (the end
+    intervals extend beyond the knots).
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    A = np.zeros((3, n))  # banded: upper, main and lower diagonals
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    A[1, 0], A[0, 1] = 2 * dx[0], dx[0]  # zero curvature at the first knot
+    A[1, -1], A[-1, -2] = 2 * dx[-1], dx[-1]  # ... and at the last
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[0] = 3 * (y[1] - y[0])
+    b[-1] = 3 * (y[-1] - y[-2])
+    s = solve_banded(
+        (1, 1), A, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True, check_finite=False
+    ).reshape(n)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:-1]) / dx - t
+    i = np.clip(np.searchsorted(x, grid, "right") - 1, 0, n - 2)
+    u = grid - x[i]
+    # PPoly's sum starts at 0.0, which turns a -0.0 knot value into 0.0
+    return 0.0 + y[i] + s[i] * u + c1[i] * (u * u) + c0[i] * (u * u * u)
+
+
 def disaggregate(monthly: MonthlySeries, windows: list[TimeWindow]) -> WeeklySeries:
     """Natural cubic spline through the month anchors, sampled per window.
 
@@ -143,9 +177,8 @@ def disaggregate(monthly: MonthlySeries, windows: list[TimeWindow]) -> WeeklySer
         raise SeriesError(f"series {monthly.name!r}: need at least 3 monthly points, got {len(monthly)}")
     knots = np.asarray(month_anchors(monthly, windows), dtype=float)
     values = np.asarray(monthly.values, dtype=float)
-    spline = CubicSpline(knots, values, bc_type="natural")
     grid = np.arange(len(windows), dtype=float)
-    weekly = spline(grid)
+    weekly = _natural_spline(knots, values, grid)
     return WeeklySeries(
         name=monthly.name,
         indices=tuple(range(len(windows))),

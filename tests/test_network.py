@@ -277,14 +277,13 @@ class TestConnectivityFastPath:
     @pytest.mark.parametrize(
         "edges",
         [
-            # 1/w vanishes or overflows: csgraph reads a zero length as no edge
-            {("a", "b"): math.inf, ("b", "c"): 1.0},
+            # 1/w overflows (WordGraph refuses the infinite weight whose 1/w vanishes)
             {("a", "b"): 1e-310, ("b", "c"): 1.0},
             # n1 -> n0 is shorter than an ulp of the distance, so from n2 the
             # heap settles n1 before n0 at the same distance, out of index order
             {("n1", "n2"): 1.0, ("n0", "n1"): 1e17},
         ],
-        ids=["infinite_weight", "subnormal_weight", "sub_ulp_length"],
+        ids=["subnormal_weight", "sub_ulp_length"],
     )
     def test_lengths_outside_the_certificate_take_the_fallback(self, edges):
         assert_equals_heap_loop(WordGraph(edges), fallbacks=1)
@@ -422,3 +421,10 @@ def test_reversed_pair_key_refused(build):
     # keys are oriented once, by the co-occurrence counter; a reversed key is a caller bug
     with pytest.raises(ValueError, match=r"\('b', 'a'\)"):
         build({("a", "c"): 1, ("b", "a"): 1})
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_weight_that_is_not_finite_and_positive_refused(weight):
+    # a NaN weight used to build and score as a plausible {a: 0, b: 1, c: 0}
+    with pytest.raises(ValueError, match=r"\('a', 'b'\); expected a finite positive number"):
+        WordGraph({("a", "b"): weight, ("b", "c"): 1.0})

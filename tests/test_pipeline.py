@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbsflow import pipeline
+import sbsflow
+from sbsflow import config, pipeline
 from sbsflow.cli import main as cli_main
 from sbsflow.pipeline import (
     MANIFEST_JSON,
@@ -232,8 +237,8 @@ class TestValidateConfig:
         assert err.value.failures == [failure]
 
     @settings(max_examples=60)
-    @given(top=_overrides(pipeline._TOP_KEYS), corpus=_overrides(pipeline._CORPUS_KEYS),
-           fields=_overrides(pipeline._FIELD_KEYS))
+    @given(top=_overrides(config._TOP_KEYS), corpus=_overrides(config._CORPUS_KEYS),
+           fields=_overrides(config._FIELD_KEYS))
     def test_fuzzed_config_validates_or_raises_config_error(
         self, fixture, tmp_path_factory, top, corpus, fields
     ):
@@ -273,6 +278,24 @@ class TestRunPipeline:
         for entry in manifest["artifacts"]:
             digest = hashlib.sha256((cfg.output_dir / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_manifest_records_environment(self, completed_run):
+        import os
+        import platform
+
+        import numpy
+        import scipy
+
+        _, cfg, manifest = completed_run
+        expected = {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        }
+        assert manifest["environment"] == expected
+        on_disk = json.loads((cfg.output_dir / MANIFEST_JSON).read_text())
+        assert on_disk["environment"] == expected
 
     def test_no_temporary_files_left(self, completed_run):
         _, cfg, _ = completed_run
@@ -490,17 +513,18 @@ class TestStaleScoreDump:
         assert "window 0 of" in err and "missing ['zzextra']" in err
         self._assert_refused_at_read_scores(out, before)
 
-    def test_same_length_shifted_grid_still_passes(self, fixture, scored_and_tested, tmp_path):
-        # the dump records no provenance yet, so a grid shifted by whole weeks
-        # with the same window count is still accepted
+    def test_same_length_shifted_grid_refused(self, fixture, scored_and_tested, tmp_path, capsys):
+        # same window count, every week_start one week later than the dump's
         cfg = validate_config(fixture.config_path)
         shift = timedelta(weeks=1)
-        rc, out, _ = self._test_with(
+        rc, out, before = self._test_with(
             fixture, scored_and_tested, tmp_path,
             start_date=cfg.start_date + shift, end_date=cfg.end_date + shift,
         )
-        assert rc == 0
-        assert json.loads((out / MANIFEST_JSON).read_text())["status"] == "ok"
+        assert rc == 2
+        dumped, wanted = cfg.start_date.isoformat(), (cfg.start_date + shift).isoformat()
+        assert f"dates window 0 {dumped}, this config {wanted}" in capsys.readouterr().err
+        self._assert_refused_at_read_scores(out, before)
 
     @staticmethod
     def _assert_refused_at_read_scores(out, before):
@@ -520,6 +544,21 @@ class TestCli:
         bad.write_text("window_size: 0\n")
         assert cli_main(["validate", "--config", str(bad)]) == 1
         assert "window_size" in capsys.readouterr().err
+
+    def test_validate_loads_no_numeric_stack(self, fixture):
+        # a fresh interpreter, so modules imported by the suite do not count
+        code = (
+            "import sys\n"
+            "from sbsflow.cli import main\n"
+            f"assert main(['validate', '--config', {str(fixture.config_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))\n"
+        )
+        src = str(Path(sbsflow.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_option_exit_1(self, fixture, tmp_path, capsys, workers):

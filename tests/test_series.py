@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import natural_spline_eval
@@ -123,7 +123,33 @@ class TestDisaggregate:
         with pytest.raises(SeriesError):
             disaggregate(m, self.windows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=3, max_size=30),
+        first_month=st.integers(min_value=1, max_value=12),
+        lead_days=st.integers(min_value=0, max_value=40),
+        tail_weeks=st.integers(min_value=0, max_value=6),
+    )
+    def test_equals_scipy_natural_spline(self, values, first_month, lead_days, tail_weeks):
+        # the numpy spline returns scipy's floats, also on windows before the
+        # first anchor and after the last
+        from scipy.interpolate import CubicSpline
+
+        m = monthly("s", (2021, first_month), values)
+        after_last = m.months[-1] + timedelta(days=31)
+        windows = build_windows(
+            m.months[0] - timedelta(days=lead_days),
+            after_last.replace(day=1) + timedelta(weeks=tail_weeks),
+        )
+        knots = month_anchors(m, windows)
+        grid = np.arange(len(windows), dtype=float)
+        expected = CubicSpline(knots, values, bc_type="natural")(grid)
+        weekly = disaggregate(m, windows)
+        assert list(map(repr, weekly.values)) == list(map(repr, expected.tolist()))
+
     def test_c2_continuity_at_knots(self):
+        # a check on the reference that test_equals_scipy_natural_spline
+        # compares disaggregate with
         from scipy.interpolate import CubicSpline
 
         knots = np.array([0.0, 4.0, 9.0, 13.0, 17.0])

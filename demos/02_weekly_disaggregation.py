@@ -5,7 +5,8 @@ Disaggregating a monthly index to the weekly grid
 Monthly index values are pinned to the first analysis window starting
 inside each month (the survey runs in the first half of the month), and a
 natural cubic spline through those anchors fills in the remaining weeks.
-The weekly series reproduces every monthly value exactly at its anchor.
+The weekly series holds one value per window, value ``i`` for window
+``i``, and reproduces every monthly value exactly at its anchor.
 """
 from datetime import date
 
@@ -26,6 +27,6 @@ for m, a in zip(monthly.months, anchors):
 
 weekly = disaggregate(monthly, windows)
 print("\nweekly values (* marks a monthly anchor):")
-for idx, value in zip(weekly.indices, weekly.values):
+for idx, value in enumerate(weekly.values):
     marker = " *" if idx in anchors else ""
     print(f"  window {idx:2d} {windows[idx].start_date} {value:8.3f}{marker}")

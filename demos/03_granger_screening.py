@@ -6,7 +6,8 @@ Two predictor series are tested against a target that is driven by the
 first one at a one-week delay. Lag order comes from BIC on the
 unrestricted model; the F test then asks whether the predictor's lags
 explain the target beyond the target's own history. The phase sign is the
-sign of the strongest cross-correlation over non-negative lags.
+sign of the strongest cross-correlation over non-negative lags. The
+battery takes series of one length, one value per week.
 """
 import numpy as np
 
@@ -34,10 +35,10 @@ print(f"bystander : BIC lag={p}, F={f_stat:8.2f}, p={p_value:.2e}")
 
 print("\nfull battery (one row per predictor/target pair):")
 series = [
-    WeeklySeries("driver", tuple(range(T)), tuple(driver)),
-    WeeklySeries("bystander", tuple(range(T)), tuple(bystander)),
+    WeeklySeries("driver", tuple(driver)),
+    WeeklySeries("bystander", tuple(bystander)),
 ]
-targets = [WeeklySeries("outcome", tuple(range(T)), tuple(target))]
+targets = [WeeklySeries("outcome", tuple(target))]
 for r in run_battery(series, targets, p_max=8):
     print(f"  {r.keyword:10s} -> {r.target}: lags={r.lags} F={r.f_stat:8.2f} "
           f"p={r.p_value:.3g} stars={r.stars!r} sign={r.cc_sign} [{r.status}]")

@@ -313,12 +313,6 @@ class GrangerResult:
     status: str  # "ok" or the failure reason
 
 
-def _common_grid(series: list[WeeklySeries]) -> tuple[int, ...]:
-    grids = [set(s.indices) for s in series]
-    common = sorted(set.intersection(*grids)) if grids else []
-    return tuple(common)
-
-
 def _keyword_block(
     keyword: str, x: np.ndarray, targets: list[tuple[str, np.ndarray]], p_max: int
 ) -> list[GrangerResult]:
@@ -358,26 +352,21 @@ def run_battery(
     p_max: int = 8,
     workers: int = 1,
 ) -> list[GrangerResult]:
-    """Test every (keyword, target) pair on the common window grid.
+    """Test every (keyword, target) pair; value i of every series is window i.
 
-    Pairs whose test fails (constant series, degenerate fits) are reported
-    with the reason in ``status`` rather than dropped. Results come back
-    ordered by (keyword, target). Each pair tests keyword -> target on
-    levels. With ``workers`` > 1 the keywords are tested in a process pool,
-    one block per keyword; the results are the same.
+    Series of unequal length are refused. A pair whose test fails (constant
+    series, degenerate fits) is reported with the reason in ``status``, not
+    dropped. Results are ordered by (keyword, target); each pair tests
+    keyword -> target on levels. With ``workers`` > 1 the keywords are tested
+    in a process pool, one block per keyword; the results are the same.
     """
     if not sbs_series or not targets:
         raise ValueError("need at least one keyword series and one target series")
-    grid = _common_grid(sbs_series + targets)
-    if not grid:
-        raise ValueError("keyword and target series share no window indices")
-
-    def on_grid(s: WeeklySeries) -> np.ndarray:
-        by_idx = dict(zip(s.indices, s.values))
-        return np.asarray([by_idx[i] for i in grid], dtype=float)
-
-    keyword_vecs = {s.name: on_grid(s) for s in sbs_series}
-    target_vecs = {t.name: on_grid(t) for t in targets}
+    if len({len(s) for s in sbs_series + targets}) > 1:
+        lengths = ", ".join(f"{s.name!r}: {len(s)}" for s in sbs_series + targets)
+        raise ValueError(f"series lengths differ, need one value per window of one grid: {lengths}")
+    keyword_vecs = {s.name: np.asarray(s.values, dtype=float) for s in sbs_series}
+    target_vecs = {t.name: np.asarray(t.values, dtype=float) for t in targets}
     keywords = sorted(keyword_vecs)
     block = partial(
         _keyword_block,

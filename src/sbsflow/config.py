@@ -68,7 +68,7 @@ _TOP_KEYS = frozenset({
     "question_targets", "p_max", "output_dir", "workers",
 })
 _CORPUS_KEYS = frozenset({"path", "format", "fields", "date_format", "include_title"})
-_FIELD_KEYS = frozenset({"id", "date", "title", "body", "source"})
+_FIELD_KEYS = frozenset({"id", "date", "title", "body"})
 
 
 def _is_str(v) -> bool:
@@ -151,7 +151,6 @@ def validate_config(path: str | Path) -> RunConfig:
         date_field=fields.get("date", "date"),
         title_field=fields.get("title", "title"),
         body_field=fields.get("body", "body"),
-        source_field=fields.get("source", "source"),
         date_format=value(corpus, "date_format", "%Y-%m-%d", _is_str, "a string", "corpus."),
     )
     include_title = value(

@@ -38,7 +38,6 @@ class Document:
     published_at: date
     title: str
     body: str
-    source: str = ""
 
     def text(self, include_title: bool = True) -> str:
         if include_title and self.title:
@@ -64,7 +63,6 @@ class IngestConfig:
     date_field: str = "date"
     title_field: str = "title"
     body_field: str = "body"
-    source_field: str = "source"
     date_format: str = "%Y-%m-%d"
 
 
@@ -105,7 +103,6 @@ def _parse_record(
         published_at=day,
         title=str(raw.get(cfg.title_field) or ""),
         body=str(raw.get(cfg.body_field) or ""),
-        source=str(raw.get(cfg.source_field) or ""),
     )
 
 

@@ -358,7 +358,6 @@ class SbsScore:
     """Per-keyword, per-window score decomposition; sbs is the exact z-sum."""
 
     keyword: str
-    window: int
     prevalence_raw: float
     diversity_raw: float
     connectivity_raw: float
@@ -393,7 +392,6 @@ def sbs(
         scores.append(
             SbsScore(
                 keyword=kw,
-                window=graph.window_index,
                 prevalence_raw=p_raw,
                 diversity_raw=d_raw,
                 connectivity_raw=c_raw,

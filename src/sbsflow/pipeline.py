@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import time
@@ -191,12 +192,14 @@ _SCORE_COLUMNS = (
     "prevalence_raw", "diversity_raw", "connectivity_raw",
     "z_prevalence", "z_diversity", "z_connectivity", "sbs",
 )
+_SCORES_HEADER = ("window_index", "week_start", "keyword", *_SCORE_COLUMNS)
 
 
 def _scores_rows(starts: list[str], scores_by_window: list[list[SbsScore]]):
-    yield ["window_index", "week_start", "keyword", *_SCORE_COLUMNS]
+    yield _SCORES_HEADER
     for idx, scores in enumerate(scores_by_window):
-        for s in sorted(scores, key=lambda s: s.keyword):
+        # network.sbs returns scores in the order of run_pipeline's sorted keywords
+        for s in scores:
             raw = [getattr(s, c) for c in _SCORE_COLUMNS]
             yield [idx, starts[idx], s.keyword, format(raw[0], "g"), *map(repr, raw[1:])]
 
@@ -204,7 +207,7 @@ def _scores_rows(starts: list[str], scores_by_window: list[list[SbsScore]]):
 def _weekly_rows(starts: list[str], weekly: list[WeeklySeries]):
     yield ["series", "window_index", "week_start", "value"]
     for s in weekly:
-        for idx, value in zip(s.indices, s.values):
+        for idx, value in enumerate(s.values):
             yield [s.name, idx, starts[idx], repr(value)]
 
 
@@ -250,13 +253,9 @@ def _sha256(path: Path) -> str:
 def _keyword_series(
     scores_by_window: list[list[SbsScore]], keywords: list[str]
 ) -> list[WeeklySeries]:
-    """One series per keyword, its values in window order."""
-    values: dict[str, list[float]] = {kw: [] for kw in keywords}
-    for scores in scores_by_window:
-        for s in scores:
-            values[s.keyword].append(s.sbs)
-    indices = tuple(range(len(scores_by_window)))
-    return [WeeklySeries(name=kw, indices=indices, values=tuple(values[kw])) for kw in keywords]
+    """One series per keyword; every window holds its scores in ``keywords`` order."""
+    columns = zip(keywords, zip(*scores_by_window, strict=True), strict=True)
+    return [WeeklySeries(name=kw, values=tuple(s.sbs for s in col)) for kw, col in columns]
 
 
 def run_pipeline(
@@ -411,35 +410,56 @@ def _write_manifest(out: Path, manifest: dict, artifacts: list[Path]) -> None:
         fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
+def _dump_number(cell: str, column: str, where: str, parse=float):
+    """The finite number in ``cell``, or a refusal naming its column."""
+    try:
+        value = parse(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise PipelineError(f"{where}, column {column!r}: expected a finite {parse.__name__}, got {cell!r}")
+    return value
+
+
 def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list[list[SbsScore]]:
-    """Parse a score dump back into per-window score lists, refusing a dump
-    that does not hold one row per window of ``starts`` and keyword, each
-    dated with that window's start."""
+    """Parse a score dump back into per-window score lists in ``keywords``
+    order, refusing a dump that does not hold one row of finite numbers per
+    window of ``starts`` and keyword, each dated with that window's start."""
     n_windows = len(starts)
-    scores_by_window: list[list[SbsScore]] = [[] for _ in range(n_windows)]
+    scores_by_window: list[dict[str, SbsScore]] = [{} for _ in range(n_windows)]
     with path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            idx = int(row["window_index"])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != _SCORES_HEADER:
+            raise PipelineError(f"score dump {path}, line 1: header {header}, not {list(_SCORES_HEADER)}")
+        for row in reader:
+            where = f"score dump {path}, line {reader.line_num}"
+            if len(row) != len(_SCORES_HEADER):
+                raise PipelineError(f"{where}: expected {len(_SCORES_HEADER)} cells, got {len(row)}")
+            idx_cell, week_start, keyword, *cells = row
+            idx = _dump_number(idx_cell, "window_index", where, parse=int)
             if not 0 <= idx < n_windows:
                 raise PipelineError(
-                    f"score dump {path} has window {idx}, outside this config's "
+                    f"{where} has window {idx}, outside this config's "
                     f"windows 0..{n_windows - 1}; it was scored on another date range"
                 )
-            if row["week_start"] != starts[idx]:
+            if week_start != starts[idx]:
                 raise PipelineError(
-                    f"score dump {path} dates window {idx} {row['week_start']}, this config "
+                    f"{where} dates window {idx} {week_start}, this config "
                     f"{starts[idx]}; it was scored on another date range"
                 )
-            values = {c: float(row[c]) for c in _SCORE_COLUMNS}
-            scores_by_window[idx].append(SbsScore(keyword=row["keyword"], window=idx, **values))
-    for idx, scores in enumerate(scores_by_window):
-        found = sorted(s.keyword for s in scores)
-        if found != keywords:
-            missing = sorted(set(keywords) - set(found))
-            unknown = sorted(set(found) - set(keywords))
+            window = scores_by_window[idx]
+            if keyword in window:
+                raise PipelineError(f"{where}: keyword {keyword!r} appears twice in window {idx}")
+            values = {c: _dump_number(cell, c, where) for c, cell in zip(_SCORE_COLUMNS, cells)}
+            window[keyword] = SbsScore(keyword=keyword, **values)
+    for idx, window in enumerate(scores_by_window):
+        if sorted(window) != keywords:
+            missing = sorted(set(keywords) - set(window))
+            unknown = sorted(set(window) - set(keywords))
             raise PipelineError(
-                f"score dump {path}: window {idx} of 0..{n_windows - 1} has {len(found)} rows "
+                f"score dump {path}: window {idx} of 0..{n_windows - 1} has {len(window)} rows "
                 f"for the registry's {len(keywords)} keywords (missing {missing}, "
                 f"not in the registry {unknown}); score again with this config"
             )
-    return scores_by_window
+    return [[window[kw] for kw in keywords] for window in scores_by_window]

@@ -46,14 +46,13 @@ class MonthlySeries:
 
 @dataclass(frozen=True)
 class WeeklySeries:
-    """Named series on consecutive window indices."""
+    """Named series on the run's window grid: value ``i`` belongs to window ``i``."""
 
     name: str
-    indices: tuple[int, ...]
     values: tuple[float, ...]
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.values)
 
 
 def _next_month(d: date) -> date:
@@ -179,9 +178,5 @@ def disaggregate(monthly: MonthlySeries, windows: list[TimeWindow]) -> WeeklySer
     values = np.asarray(monthly.values, dtype=float)
     grid = np.arange(len(windows), dtype=float)
     weekly = _natural_spline(knots, values, grid)
-    return WeeklySeries(
-        name=monthly.name,
-        indices=tuple(range(len(windows))),
-        values=tuple(float(v) for v in weekly),
-    )
+    return WeeklySeries(name=monthly.name, values=tuple(float(v) for v in weekly))
 

@@ -52,11 +52,7 @@ def score_fixture(fx, language="english", stopwords_path=None):
         scores = score_window(texts, w.index, cfg, labels, min_edge_weight=1)
         for score in scores:
             per_kw[score.keyword].append(score.sbs)
-    n = len(windows)
-    out = {
-        kw: WeeklySeries(name=kw, indices=tuple(range(n)), values=tuple(vals))
-        for kw, vals in per_kw.items()
-    }
+    out = {kw: WeeklySeries(name=kw, values=tuple(vals)) for kw, vals in per_kw.items()}
     return windows, out
 
 

@@ -134,14 +134,14 @@ def test_criterion_04_spline_correctness():
     assert all(abs(v - 7.5) <= 1e-9 for v in constant.values)
 
     collinear = disaggregate(mk([3.0, 3.0 + 0.5 * 4, 3.0 + 0.5 * 9]), windows)
-    for idx, v in zip(collinear.indices, collinear.values):
+    for idx, v in enumerate(collinear.values):
         assert abs(v - (3.0 + 0.5 * idx)) <= 1e-9
 
     weekly = disaggregate(mk([1.0, 2.0, 0.5]), windows)
-    by_idx = dict(zip(weekly.indices, weekly.values))
+    by_idx = dict(enumerate(weekly.values))
     for knot, value in [(0, 1.0), (4, 2.0), (9, 0.5)]:
         assert abs(by_idx[knot] - value) <= 1e-9
-    expected = natural_spline_eval([0, 4, 9], [1.0, 2.0, 0.5], list(weekly.indices))
+    expected = natural_spline_eval([0, 4, 9], [1.0, 2.0, 0.5], list(range(len(weekly))))
     for v, e in zip(weekly.values, expected):
         assert abs(v - e) <= 1e-9
     elapsed = time.time() - t0
@@ -230,7 +230,7 @@ def test_criterion_08_end_to_end_planted_signal(tmp_path):
         y = np.zeros(len(zlam))
         y[1:] = 0.9 * zlam[:-1]
         y += 0.5 * rng.normal(size=len(zlam))
-        target = WeeklySeries(name="target", indices=planted.indices, values=tuple(y))
+        target = WeeklySeries(name="target", values=tuple(y))
         by_kw = {r.keyword: r for r in run_battery([planted, decoy], [target], p_max=4)}
         ok = (
             by_kw["covid"].stars == "***"

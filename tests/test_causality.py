@@ -268,7 +268,7 @@ class TestStars:
 
 
 def _weekly(name, values):
-    return WeeklySeries(name=name, indices=tuple(range(len(values))), values=tuple(values))
+    return WeeklySeries(name=name, values=tuple(values))
 
 
 class TestRunBattery:
@@ -300,12 +300,16 @@ class TestRunBattery:
         assert by_kw["flat"].f_stat is None
         assert len(out) == 2
 
-    def test_misaligned_grids_use_intersection(self, rng):
+    @pytest.mark.parametrize(
+        "kw_len, target_len", [(140, 150), (150, 140)], ids=["short_keyword", "short_target"]
+    )
+    def test_unequal_lengths_refused(self, rng, kw_len, target_len):
+        # one value per window: a shorter series is an error, not a table of failed pairs
         y, x = ar_with_cross(rng, 150)
-        kw = WeeklySeries(name="kw", indices=tuple(range(10, 150)), values=tuple(x[10:]))
-        target = WeeklySeries(name="t", indices=tuple(range(0, 140)), values=tuple(y[:140]))
-        out = run_battery([kw], [target], p_max=3)
-        assert out[0].status == "ok"
+        kw, target = _weekly("kw", x[:kw_len]), _weekly("t", y[:target_len])
+        named = f"'kw': {kw_len}, 't': {target_len}"
+        with pytest.raises(ValueError, match=f"series lengths differ.*{named}"):
+            run_battery([kw], [target], p_max=3)
 
     def test_too_short_pair_reported_in_status(self, rng):
         out = run_battery([_weekly("kw", rng.normal(size=20))], [_weekly("t", rng.normal(size=20))], p_max=8)
@@ -322,12 +326,6 @@ class TestRunBattery:
         pooled = run_battery(kws, targets, p_max=4, workers=2)
         assert [astuple(r) for r in pooled] == [astuple(r) for r in serial]
         assert {r.status == "ok" for r in serial} == {True, False}
-
-    def test_disjoint_grids_fatal(self, rng):
-        a = WeeklySeries(name="kw", indices=(0, 1, 2), values=(1.0, 2.0, 3.0))
-        b = WeeklySeries(name="t", indices=(10, 11, 12), values=(1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
-            run_battery([a], [b], p_max=1)
 
 
 # kinds of generated (y, x) pairs; several are built to reach the refit and

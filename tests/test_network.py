@@ -359,7 +359,6 @@ class TestSbs:
             [float(prev.get(t, 0)) for t in graph.nodes]
         )
         assert s.z_prevalence == pytest.approx((0.0 - mu) / sigma)
-        assert s.window == 7
 
     def test_decomposition_identity_exact(self):
         graph, prev = self._toy_window()

@@ -193,6 +193,7 @@ class TestValidateConfig:
             ({"windw_size": 7}, "windw_size"),
             ({"corpus": {"includ_title": False}}, "corpus.includ_title"),
             ({"corpus": {"fields": {"idd": "x"}}}, "corpus.fields.idd"),
+            ({"corpus": {"fields": {"source": "outlet"}}}, "corpus.fields.source"),
         ],
     )
     def test_unknown_key_refused(self, fixture, tmp_path, capsys, extra, key):
@@ -325,7 +326,7 @@ class TestRunPipeline:
         helper = {
             (kw, idx): repr(value)
             for kw, s in series_by_kw.items()
-            for idx, value in zip(s.indices, s.values)
+            for idx, value in enumerate(s.values)
         }
         with (cfg.output_dir / SCORES_CSV).open() as fh:
             dumped = {(row["keyword"], int(row["window_index"])): row["sbs"] for row in csv.DictReader(fh)}
@@ -473,12 +474,20 @@ def test_battery_workers_leave_artifacts_identical(fixture, scored_and_tested, t
     assert artifacts[1] == artifacts[2]
 
 
+def _ending_covid_row(tail):
+    """A dump edit that puts ``tail`` in place of the sbs cell of line ``i``."""
+    return lambda lines, i: [*lines[:i], lines[i].rsplit(",", 1)[0] + tail + "\n", *lines[i + 1:]]
+
+
 class TestStaleScoreDump:
     """`sbsflow test` refuses a score dump that is not this config's windows x keywords."""
 
-    def _test_with(self, fixture, scored_and_tested, tmp_path, **overrides):
+    def _test_with(self, fixture, scored_and_tested, tmp_path, edit_dump=None, **overrides):
         out = tmp_path / "out"
         shutil.copytree(scored_and_tested, out)
+        if edit_dump is not None:
+            dump = out / SCORES_CSV
+            dump.write_text("".join(edit_dump(dump.read_text().splitlines(keepends=True))))
         config = tmp_path / "cfg.yaml"
         config.write_text(_rewritten_config(fixture, out=out, **overrides))
         before = {name: (out / name).read_bytes() for name in ARTIFACTS}
@@ -524,6 +533,36 @@ class TestStaleScoreDump:
         assert rc == 2
         dumped, wanted = cfg.start_date.isoformat(), (cfg.start_date + shift).isoformat()
         assert f"dates window 0 {dumped}, this config {wanted}" in capsys.readouterr().err
+        self._assert_refused_at_read_scores(out, before)
+
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            (lambda lines, i: [line.rsplit(",", 1)[0] + "\n" for line in lines],
+             ", line 1: header ['window_index', 'week_start', 'keyword', 'prevalence_raw', "
+             "'diversity_raw', 'connectivity_raw', 'z_prevalence', 'z_diversity', 'z_connectivity'], "
+             "not ['window_index', 'week_start', 'keyword', 'prevalence_raw', 'diversity_raw', "
+             "'connectivity_raw', 'z_prevalence', 'z_diversity', 'z_connectivity', 'sbs']"),
+            (_ending_covid_row(",abc"), ", line {line}, column 'sbs': expected a finite float, got 'abc'"),
+            (_ending_covid_row(",nan"), ", line {line}, column 'sbs': expected a finite float, got 'nan'"),
+            (_ending_covid_row(""), ", line {line}: expected 10 cells, got 9"),
+            (lambda lines, i: [*lines[: i + 1], lines[i], *lines[i + 1:]],
+             ", line {repeat}: keyword 'covid' appears twice in window 0"),
+        ],
+        ids=["no_sbs_column", "non_numeric_cell", "nan_cell", "short_row", "repeated_row"],
+    )
+    def test_malformed_dump_refused_with_location(
+        self, fixture, scored_and_tested, tmp_path, capsys, edit, refusal
+    ):
+        # i: the 0-based position of window 0's 'covid' row among the dump's lines
+        lines = (scored_and_tested / SCORES_CSV).read_text().splitlines()
+        i = next(n for n, line in enumerate(lines) if line.split(",")[2] == "covid")
+        rc, out, before = self._test_with(
+            fixture, scored_and_tested, tmp_path, edit_dump=lambda lines: edit(lines, i)
+        )
+        assert rc == 2
+        where = f"score dump {out / SCORES_CSV}"
+        assert where + refusal.format(line=i + 1, repeat=i + 2) in capsys.readouterr().err
         self._assert_refused_at_read_scores(out, before)
 
     @staticmethod

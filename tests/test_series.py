@@ -104,17 +104,17 @@ class TestDisaggregate:
         knots = [0, 4, 9]
         m = monthly("s", (2021, 2), [3.0 + 0.5 * k for k in knots])
         weekly = disaggregate(m, self.windows)
-        for idx, v in zip(weekly.indices, weekly.values):
+        for idx, v in enumerate(weekly.values):
             assert v == pytest.approx(3.0 + 0.5 * idx, abs=1e-9)
 
     def test_knot_passthrough_and_oracle_match(self):
         m = monthly("s", (2021, 2), [1.0, 2.0, 0.5])
         weekly = disaggregate(m, self.windows)
-        by_idx = dict(zip(weekly.indices, weekly.values))
+        by_idx = dict(enumerate(weekly.values))
         assert by_idx[0] == pytest.approx(1.0, abs=1e-9)
         assert by_idx[4] == pytest.approx(2.0, abs=1e-9)
         assert by_idx[9] == pytest.approx(0.5, abs=1e-9)
-        expected = natural_spline_eval([0, 4, 9], [1.0, 2.0, 0.5], list(weekly.indices))
+        expected = natural_spline_eval([0, 4, 9], [1.0, 2.0, 0.5], list(range(len(weekly))))
         for v, e in zip(weekly.values, expected):
             assert v == pytest.approx(e, abs=1e-9)
 
@@ -183,10 +183,10 @@ class TestDisaggregate:
         m = monthly("s", (2021, 1), values)
         weekly = disaggregate(m, windows)
         anchors = month_anchors(m, windows)
-        expected = natural_spline_eval(anchors, values, list(weekly.indices))
+        expected = natural_spline_eval(anchors, values, list(range(len(weekly))))
         for v, e in zip(weekly.values, expected):
             assert v == pytest.approx(e, abs=1e-9)
         # interpolation property at every knot
-        by_idx = dict(zip(weekly.indices, weekly.values))
+        by_idx = dict(enumerate(weekly.values))
         for anchor, value in zip(anchors, values):
             assert by_idx[anchor] == pytest.approx(value, abs=1e-9)

@@ -9,6 +9,7 @@ smooth by construction, which is flagged in the emitted reports.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -354,14 +355,19 @@ def run_battery(
 ) -> list[GrangerResult]:
     """Test every (keyword, target) pair; value i of every series is window i.
 
-    Series of unequal length are refused. A pair whose test fails (constant
-    series, degenerate fits) is reported with the reason in ``status``, not
-    dropped. Results are ordered by (keyword, target); each pair tests
-    keyword -> target on levels. With ``workers`` > 1 the keywords are tested
-    in a process pool, one block per keyword; the results are the same.
+    Series of unequal length, and two keyword or two target series sharing
+    a name, are refused. A pair whose test fails (constant series,
+    degenerate fits) is reported with the reason in ``status``, not dropped.
+    Results are ordered by (keyword, target); each pair tests keyword ->
+    target on levels. With ``workers`` > 1 the keywords are tested in a
+    process pool, one block per keyword; the results are the same.
     """
     if not sbs_series or not targets:
         raise ValueError("need at least one keyword series and one target series")
+    for kind, group in (("keyword", sbs_series), ("target", targets)):
+        repeated = sorted(name for name, n in Counter(s.name for s in group).items() if n > 1)
+        if repeated:
+            raise ValueError(f"{kind} series names repeat, need one series per name: {repeated}")
     if len({len(s) for s in sbs_series + targets}) > 1:
         lengths = ", ".join(f"{s.name!r}: {len(s)}" for s in sbs_series + targets)
         raise ValueError(f"series lengths differ, need one value per window of one grid: {lengths}")

@@ -250,14 +250,6 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _keyword_series(
-    scores_by_window: list[list[SbsScore]], keywords: list[str]
-) -> list[WeeklySeries]:
-    """One series per keyword; every window holds its scores in ``keywords`` order."""
-    columns = zip(keywords, zip(*scores_by_window, strict=True), strict=True)
-    return [WeeklySeries(name=kw, values=tuple(s.sbs for s in col)) for kw, col in columns]
-
-
 def run_pipeline(
     cfg: RunConfig,
     out_dir: str | Path | None = None,
@@ -267,7 +259,8 @@ def run_pipeline(
     """Execute the pipeline and return the manifest (also written to disk).
 
     ``stage_mode`` "score" stops after the score dump; "test" re-runs the
-    econometrics from a previously written score dump; "run" does both.
+    econometrics from a previously written score dump; "run" does both, so
+    its battery reads the dump it has just written.
     """
     if stage_mode not in ("run", "score", "test"):
         raise ValueError(f"unknown stage_mode {stage_mode!r}")
@@ -351,16 +344,16 @@ def run_pipeline(
 
             with stage("write_scores"):
                 artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(starts, scores_by_window)))
-        else:
+
+        if stage_mode in ("run", "test"):
             with stage("read_scores"):
                 scores_path = out / SCORES_CSV
                 if not scores_path.is_file():
                     raise PipelineError(
                         f"stage 'test' needs a previous score dump at {scores_path}"
                     )
-                scores_by_window = _read_scores_csv(scores_path, starts, keywords)
+                sbs_series = _read_scores_csv(scores_path, starts, keywords)
 
-        if stage_mode in ("run", "test"):
             with stage("targets"):
                 monthly = series.load_monthly(cfg.monthly_path)
                 # unset climate targets: every series not asked as a question
@@ -380,7 +373,6 @@ def run_pipeline(
                 artifacts.append(_write_csv(out / WEEKLY_CSV, _weekly_rows(starts, weekly)))
 
             with stage("causality"):
-                sbs_series = _keyword_series(scores_by_window, keywords)
                 climate = [weekly_by_name[n] for n in climate_names]
                 questions = [weekly_by_name[n] for n in cfg.question_targets]
                 results = causality.run_battery(
@@ -421,12 +413,12 @@ def _dump_number(cell: str, column: str, where: str, parse=float):
     return value
 
 
-def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list[list[SbsScore]]:
-    """Parse a score dump back into per-window score lists in ``keywords``
-    order, refusing a dump that does not hold one row of finite numbers per
-    window of ``starts`` and keyword, each dated with that window's start."""
+def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list[WeeklySeries]:
+    """Each keyword's ``sbs`` series from a score dump, in ``keywords`` order,
+    refusing a dump that does not hold one row of finite numbers per window
+    of ``starts`` and keyword, each dated with that window's start."""
     n_windows = len(starts)
-    scores_by_window: list[dict[str, SbsScore]] = [{} for _ in range(n_windows)]
+    sbs_by_window: list[dict[str, float]] = [{} for _ in range(n_windows)]
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -448,12 +440,12 @@ def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list
                     f"{where} dates window {idx} {week_start}, this config "
                     f"{starts[idx]}; it was scored on another date range"
                 )
-            window = scores_by_window[idx]
+            window = sbs_by_window[idx]
             if keyword in window:
                 raise PipelineError(f"{where}: keyword {keyword!r} appears twice in window {idx}")
-            values = {c: _dump_number(cell, c, where) for c, cell in zip(_SCORE_COLUMNS, cells)}
-            window[keyword] = SbsScore(keyword=keyword, **values)
-    for idx, window in enumerate(scores_by_window):
+            values = [_dump_number(cell, c, where) for c, cell in zip(_SCORE_COLUMNS, cells)]
+            window[keyword] = values[-1]  # sbs; the battery reads no other column
+    for idx, window in enumerate(sbs_by_window):
         if sorted(window) != keywords:
             missing = sorted(set(keywords) - set(window))
             unknown = sorted(set(window) - set(keywords))
@@ -462,4 +454,4 @@ def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list
                 f"for the registry's {len(keywords)} keywords (missing {missing}, "
                 f"not in the registry {unknown}); score again with this config"
             )
-    return [[window[kw] for kw in keywords] for window in scores_by_window]
+    return [WeeklySeries(kw, tuple(window[kw] for window in sbs_by_window)) for kw in keywords]

@@ -62,8 +62,8 @@ def _next_month(d: date) -> date:
 def load_monthly(path: str | Path) -> list[MonthlySeries]:
     """Parse ``month,series1,series2,...`` CSV with YYYY-MM months.
 
-    Month gaps, duplicate months and non-numeric cells are fatal, reported
-    with their row and column.
+    Blank or repeated series names, month gaps, duplicate months and
+    non-numeric cells are fatal, reported with their row and column.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -75,6 +75,12 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
         if len(header) < 2 or header[0].strip().lower() != "month":
             raise SeriesError(f"{path}: header must be 'month,<series>...', got {header}")
         names = [h.strip() for h in header[1:]]
+        for name in names:
+            # CSV column numbers, the month column being 1
+            cols = [col for col, other in enumerate(names, start=2) if other == name]
+            if not name or len(cols) > 1:
+                what = "a blank series name" if not name else f"series {name!r} repeated"
+                raise SeriesError(f"{path}: header has {what} in columns {cols}")
         months: list[date] = []
         columns: list[list[float]] = [[] for _ in names]
         for row_no, row in enumerate(reader, start=2):

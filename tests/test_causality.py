@@ -311,6 +311,14 @@ class TestRunBattery:
         with pytest.raises(ValueError, match=f"series lengths differ.*{named}"):
             run_battery([kw], [target], p_max=3)
 
+    @pytest.mark.parametrize("repeated", ["keyword", "target"])
+    def test_repeated_names_refused(self, rng, repeated):
+        # results are keyed by name: a second series named alike would be dropped
+        a, b, c = (_weekly("s", rng.normal(size=120)) for _ in range(3))
+        kws, targets = ([a, b], [c]) if repeated == "keyword" else ([a], [b, c])
+        with pytest.raises(ValueError, match=rf"{repeated} series names repeat.*\['s'\]"):
+            run_battery(kws, targets, p_max=3)
+
     def test_too_short_pair_reported_in_status(self, rng):
         out = run_battery([_weekly("kw", rng.normal(size=20))], [_weekly("t", rng.normal(size=20))], p_max=8)
         assert out[0].status == "series too short: T=20 needs T > 25 for p_max=8"

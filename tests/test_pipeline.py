@@ -40,7 +40,7 @@ from conftest import score_fixture
 ARTIFACTS = [SCORES_CSV, WEEKLY_CSV, GRANGER_CSV, QUESTIONS_CSV, PLOT_CSV]
 # manifest stage names per mode, in run order
 STAGES = {
-    "run": ["registry", "ingest", "scores", "write_scores", "targets", "causality", "write_tables"],
+    "run": ["registry", "ingest", "scores", "write_scores", "read_scores", "targets", "causality", "write_tables"],
     "score": ["registry", "ingest", "scores", "write_scores"],
     "test": ["registry", "read_scores", "targets", "causality", "write_tables"],
 }
@@ -424,6 +424,27 @@ class TestRunPipeline:
         with (out / QUESTIONS_CSV).open(newline="") as fh:
             fh.readline()
             assert next(csv.reader(fh)) == ["keyword", "personal"]
+
+    def test_run_battery_reads_the_score_dump(self, fixture, tmp_path, monkeypatch):
+        # the dump is the one hand-off: shift what is written and the plot follows
+        rows = pipeline._scores_rows
+
+        def shifted_rows(starts, scores_by_window):
+            header, *body = rows(starts, scores_by_window)
+            yield header
+            for row in body:
+                yield [*row[:-1], repr(float(row[-1]) + 1.0)]
+
+        monkeypatch.setattr(pipeline, "_scores_rows", shifted_rows)
+        out = tmp_path / "out"
+        run_pipeline(validate_config(fixture.config_path), out_dir=out)
+        dumped: dict[str, list[str]] = {}
+        with (out / SCORES_CSV).open(newline="") as fh:
+            for row in csv.DictReader(fh):
+                dumped.setdefault(f"sbs:{row['keyword']}", []).append(row["sbs"])
+        with (out / PLOT_CSV).open(newline="") as fh:
+            plotted = list(csv.DictReader(fh))
+        assert {col: [row[col] for row in plotted] for col in dumped} == dumped
 
     def test_test_mode_without_scores_fails(self, fixture, tmp_path):
         cfg = validate_config(fixture.config_path)

@@ -63,6 +63,23 @@ class TestLoadMonthly:
             load_monthly(p)
         assert "row 3" in str(err.value) and "climate" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "header, refusal",
+        [
+            ("month,climate,personal,climate", "series 'climate' repeated in columns [2, 4]"),
+            ("month,,personal", "a blank series name in columns [2]"),
+        ],
+        ids=["repeated_name", "blank_name"],
+    )
+    def test_blank_or_repeated_series_name_fatal(self, tmp_path, header, refusal):
+        # a name must pick out one column: targets are configured by name
+        cells = ",".join(["1.5"] * header.count(","))
+        p = tmp_path / "m.csv"
+        p.write_text(f"{header}\n2017-01,{cells}\n2017-02,{cells}\n")
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}: header has {refusal}"
+
     def test_44_month_multi_year_file(self, tmp_path):
         p = tmp_path / "m.csv"
         rows = ["month,climate,personal"]

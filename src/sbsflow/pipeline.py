@@ -20,11 +20,12 @@ from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy
 import scipy
 
-from . import causality, network, series, textproc
+from . import causality, series, textproc
 from .config import ConfigError, RunConfig, validate_config
 from .corpus import (
     IngestReport,
@@ -35,9 +36,11 @@ from .corpus import (
     load_corpus,
 )
 from .keywords import compile_canonical_map, parse_registry
-from .network import SbsScore
 from .series import WeeklySeries
 from .stemming import Stemmer, get_stemmer
+
+if TYPE_CHECKING:
+    from .network import SbsScore
 
 __all__ = [
     "RunConfig",
@@ -115,6 +118,8 @@ def score_window(
     A pure function of its arguments, so windows can be scored in any
     process and order. Each distinct token of the window is stemmed once.
     """
+    from . import network
+
     window_cfg = replace(text_cfg, stemmer=_StemMemo(text_cfg.stemmer))
     sequences = [textproc.normalize_document(text, window_cfg) for text in texts]
     prev = network.prevalence(sequences)
@@ -319,6 +324,11 @@ def run_pipeline(
         windows = build_windows(cfg.start_date, cfg.end_date)
         starts = [w.start_date.isoformat() for w in windows]
         if stage_mode in ("run", "score"):
+            # scoring needs network and so scipy.sparse; they are imported
+            # here, before the timed stages and before the scoring pool
+            # forks, and `test` never loads them
+            from . import network  # noqa: F401
+
             with stage("ingest"):
                 report = IngestReport()
                 docs = list(load_corpus(cfg.corpus_path, cfg.ingest, report))

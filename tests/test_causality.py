@@ -23,6 +23,7 @@ from sbsflow.causality import (
     run_battery,
     select_lag_bic,
 )
+from sbsflow.pipeline import _fmt6
 from sbsflow.series import WeeklySeries
 
 
@@ -141,6 +142,55 @@ class TestFUpperTail:
     def test_monotone_in_f(self, f1, f2, d1, d2):
         lo, hi = sorted([f1, f2])
         assert f_upper_tail(hi, d1, d2) <= f_upper_tail(lo, d1, d2) + 1e-15
+
+    @pytest.mark.parametrize(
+        "f, d1, d2",
+        [(float("nan"), 1, 10), (float("inf"), 1, 10), (2.0, float("nan"), 10), (2.0, 1, float("inf"))],
+    )
+    def test_non_finite_inputs_refused(self, f, d1, d2):
+        # a NaN tail would reach the tables as "not significant"
+        with pytest.raises(ValueError, match="must be finite"):
+            f_upper_tail(f, d1, d2)
+
+    @settings(max_examples=400)
+    @given(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_prints_and_stars_as_scipy(self, f, d1, d2):
+        from scipy.special import betainc
+
+        expected = float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f))) if f > 0 else 1.0
+        got = f_upper_tail(f, d1, d2)
+        assert (_fmt6(got), assign_stars(got)) == (_fmt6(expected), assign_stars(expected))
+
+    def test_plain_float_route_calls_no_scipy(self):
+        with mock.patch("scipy.special.betainc") as betainc:
+            got = f_upper_tail(2.3, 3, 25)
+        betainc.assert_not_called()
+        assert got == pytest.approx(0.101799148128465, abs=1e-14)  # 40-digit mpmath
+
+    # a tail placed on a stars threshold and on a .6g rounding midpoint
+    @pytest.mark.parametrize("tail", [0.05, 0.01234565])
+    def test_tail_on_a_printing_edge_is_scipy_exactly(self, tail):
+        from scipy.special import betainc
+        from scipy.stats import f as f_dist
+
+        d1, d2 = 3, 40
+        f = float(f_dist.isf(tail, d1, d2))
+        x = d2 / (d2 + d1 * f)
+        with mock.patch("scipy.special.betainc", wraps=betainc) as spy:
+            got = f_upper_tail(f, d1, d2)
+        spy.assert_called_once()
+        assert got == float(betainc(d2 / 2.0, d1 / 2.0, x))
+
+    def test_unconverged_fraction_is_scipy_exactly(self):
+        from scipy.special import betainc
+
+        with mock.patch.object(causality, "_CF_MAX_STEPS", 1):
+            got = f_upper_tail(2.3, 3, 25)
+        assert got == float(betainc(12.5, 1.5, 25 / (25 + 3 * 2.3)))
 
 
 class TestGrangerTest:
@@ -265,6 +315,10 @@ class TestStars:
     )
     def test_thresholds_half_open(self, p, expected):
         assert assign_stars(p) == expected
+
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            assign_stars(float("nan"))
 
 
 def _weekly(name, values):
@@ -423,3 +477,47 @@ class TestFastPathsMatchReference:
 
         check()
         assert routes["corrcoef"] > 0 and routes["dot"] > 0
+
+
+class TestSharedRestrictedFit:
+    """A battery fits each target's restricted model once per lag, and its
+    results are those of pair-by-pair tests."""
+
+    def test_battery_equals_per_pair_tests(self):
+        @settings(max_examples=150)
+        @given(_series_pairs())
+        def check(case):
+            y, x, p_max = case
+            keywords = [_weekly("x", x), _weekly("xr", x[::-1]), _weekly("y", y)]
+            targets = [_weekly("t_x", x), _weekly("t_y", y)]
+            battery = run_battery(keywords, targets, p_max=p_max)
+            # outside a battery every granger_test makes its own restricted fit
+            pairwise = [
+                r
+                for kw in keywords
+                for r in causality._keyword_block(
+                    kw.name, np.asarray(kw.values), [(t.name, np.asarray(t.values)) for t in targets], p_max
+                )
+            ]
+            assert [astuple(r) for r in battery] == [astuple(r) for r in pairwise]
+
+        check()
+
+    def test_one_restricted_fit_per_target_and_lag(self, rng):
+        keywords = [_weekly(f"kw{i}", rng.normal(size=120)) for i in range(5)]
+        targets = [_weekly(f"t{j}", rng.normal(size=120)) for j in range(3)]
+        counts = []
+        for _ in range(2):  # no fit outlives its battery
+            fits = mock.patch.object(causality, "ols_fit", wraps=causality.ols_fit)
+            refits = mock.patch.object(
+                causality, "_select_lag_by_refits", wraps=causality._select_lag_by_refits
+            )
+            with fits as ols, refits as spy:
+                results = run_battery(keywords, targets, p_max=4)
+            assert not spy.called  # every BIC came from one QR, so ols_fit runs only in granger_test
+            assert {r.status for r in results} == {"ok"}
+            distinct = {(r.target, r.lags) for r in results}
+            assert ols.call_count == len(results) + len(distinct)
+            counts.append(ols.call_count)
+        assert counts[0] == counts[1]
+        assert causality._restricted_fits is None

@@ -605,20 +605,40 @@ class TestCli:
         assert cli_main(["validate", "--config", str(bad)]) == 1
         assert "window_size" in capsys.readouterr().err
 
-    def test_validate_loads_no_numeric_stack(self, fixture):
-        # a fresh interpreter, so modules imported by the suite do not count
+    @staticmethod
+    def _modules_after(argv: list[str]) -> set[str]:
+        """The modules a fresh interpreter holds after ``sbsflow <argv>`` succeeds,
+        so modules imported by the suite do not count."""
         code = (
-            "import sys\n"
+            "import json, sys\n"
             "from sbsflow.cli import main\n"
-            f"assert main(['validate', '--config', {str(fixture.config_path)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
         )
         src = str(Path(sbsflow.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        assert done.stdout.splitlines()[-1] == "[]"
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    def test_validate_loads_no_numeric_stack(self, fixture):
+        modules = self._modules_after(["validate", "--config", str(fixture.config_path)])
+        assert sorted(m for m in modules if m.startswith(("numpy", "scipy"))) == []
+
+    def test_test_loads_neither_network_nor_special_nor_sparse(self, fixture, tmp_path):
+        out = str(tmp_path / "o")
+        assert cli_main(["score", "--config", str(fixture.config_path), "--out", out]) == 0
+        modules = self._modules_after(["test", "--config", str(fixture.config_path), "--out", out])
+        assert "scipy.linalg" in modules  # the battery's least squares
+        loaded = {"scipy.special", "scipy.sparse", "sbsflow.network"} & modules
+        assert loaded == set()
+
+    def test_run_loads_no_special(self, fixture, tmp_path):
+        argv = ["run", "--config", str(fixture.config_path), "--out", str(tmp_path / "o")]
+        modules = self._modules_after(argv)
+        assert "scipy.sparse" in modules  # betweenness distances
+        assert "scipy.special" not in modules
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_option_exit_1(self, fixture, tmp_path, capsys, workers):

@@ -94,25 +94,58 @@ def lag_design(y: np.ndarray, x: np.ndarray, p: int, trim: int) -> tuple[np.ndar
     """Response and lag blocks on the sample t = trim .. T-1.
 
     Returns (response, own-lag block, cross-lag block); each block has
-    columns lag 1 .. lag p.
+    columns lag 1 .. lag p. For a ``(K, T)`` stack ``x`` the cross-lag
+    block is ``(K, T - trim, p)``, one block per row.
     """
     T = len(y)
-    rows = T - trim
-    ylags = np.column_stack([y[trim - j : T - j] for j in range(1, p + 1)]) if p else np.empty((rows, 0))
-    xlags = np.column_stack([x[trim - j : T - j] for j in range(1, p + 1)]) if p else np.empty((rows, 0))
-    return y[trim:], ylags, xlags
+
+    def lags(s: np.ndarray) -> np.ndarray:
+        if not p:
+            return np.empty(s.shape[:-1] + (T - trim, 0))
+        return np.stack([s[..., trim - j : T - j] for j in range(1, p + 1)], axis=-1)
+
+    return y[trim:], lags(y), lags(x)
 
 
-def _check_series(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _by_row(body, y, x, *args):
+    """Answer for each keyword row of ``x`` against the target ``y``.
+
+    ``x`` is one series or a ``(K, T)`` stack of them. ``body(y, xs, *args)``
+    gets the rows with finite values and returns one answer or exception per
+    row; what it raises (a check of ``y`` or of an argument) is every row's
+    exception. A stack gets the list of answers and exceptions; one series
+    gets its answer, or its exception raised.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    if y.ndim != 1 or x.ndim != 1:
-        raise ValueError("series must be 1-d")
-    if len(y) != len(x):
-        raise ValueError(f"series lengths differ: {len(y)} vs {len(x)}")
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
-        raise ValueError("series contain non-finite values")
-    return y, x
+    if y.ndim != 1 or x.ndim not in (1, 2):
+        raise ValueError("series must be 1-d; keyword series may be a (K, T) stack")
+    xs = np.atleast_2d(x)
+    if xs.shape[1] != len(y):
+        raise ValueError(f"series lengths differ: {len(y)} vs {xs.shape[1]}")
+    finite = np.isfinite(xs).all(axis=1) & np.isfinite(y).all()
+    outcomes: list = [None if ok else ValueError("series contain non-finite values") for ok in finite]
+    live = np.flatnonzero(finite)
+    if live.size:
+        try:
+            answers = body(y, xs[live], *args)
+        except ValueError as exc:
+            answers = [exc] * live.size
+        for i, answer in zip(live, answers):
+            outcomes[i] = answer
+    if x.ndim == 2:
+        return outcomes
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the ``ValueError`` it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
 
 
 # A one-QR BIC result is trusted only this far above the rounding that could
@@ -126,12 +159,13 @@ _MIN_RSS_SHARE = 1e-10
 _R_TIE = 1e-9
 
 
-def select_lag_bic(y: np.ndarray, x: np.ndarray, p_max: int) -> int:
+def select_lag_bic(y: np.ndarray, x: np.ndarray, p_max: int) -> int | list[int | ValueError]:
     """Smallest-BIC lag order of the unrestricted bivariate model.
 
     All candidates p = 1..p_max are fit on the common sample trimmed at
     p_max, because BIC values are only comparable on identical samples.
-    Ties go to the smaller p.
+    Ties go to the smaller p. ``x`` may be a ``(K, T)`` stack of keyword
+    series; each row then gets its lag or its exception (see ``_by_row``).
 
     One unpivoted QR of ``[1, y_1, x_1, ..., y_pmax, x_pmax, resp]`` gives
     every candidate's RSS: the model at lag p is the first 1 + 2p columns,
@@ -139,39 +173,52 @@ def select_lag_bic(y: np.ndarray, x: np.ndarray, p_max: int) -> int:
     used only when it must equal the per-lag ``ols_fit`` refits: the full
     design is well clear of the rank tolerance (so, by interlacing, is every
     prefix), its RSS is not an exact fit, and no other lag's BIC lies within
-    rounding of the winner's. Any other pair is refit lag by lag.
+    rounding of the winner's. Any other row is refit lag by lag. A stack
+    makes one QR and one SVD call for all its rows.
     """
-    y, x = _check_series(y, x)
+    return _by_row(_bic_lags, y, x, p_max)
+
+
+def _bic_lags(y: np.ndarray, xs: np.ndarray, p_max: int) -> list[int | ValueError]:
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     T = len(y)
     # the largest candidate fits 2 * p_max + 1 columns on T - p_max rows
     if T - p_max <= 2 * p_max + 1:
         raise ValueError(f"series too short: T={T} needs T > {3 * p_max + 1} for p_max={p_max}")
-    resp, ylags, xlags = lag_design(y, x, p_max, trim=p_max)
+    resp, ylags, xlags = lag_design(y, xs, p_max, trim=p_max)
     t_eff = len(resp)
     k = 2 * p_max + 1
-    A = np.empty((t_eff, k + 1))
-    A[:, 0] = 1.0
-    A[:, 1:k:2] = ylags
-    A[:, 2:k:2] = xlags
-    A[:, k] = resp
+    A = np.empty((len(xs), t_eff, k + 1))
+    A[:, :, 0] = 1.0
+    A[:, :, 1:k:2] = ylags
+    A[:, :, 2:k:2] = xlags
+    A[:, :, k] = resp
     R = np.linalg.qr(A, mode="r")
     ks = 1 + 2 * np.arange(1, p_max + 1)  # columns of the models at lags 1..p_max
-    rss = np.cumsum(R[::-1, k] ** 2)[::-1][ks]  # sum of squares of R[1+2p:, -1]
-    col_norm = float(np.sqrt((A[:, :k] ** 2).sum(axis=0)).max())
-    sigma_min = float(np.linalg.svd(R[:k, :k], compute_uv=False)[-1])
-    yty = float(resp @ resp)
-    # written so that a NaN anywhere sends the pair to the refits
-    if not (sigma_min > _MARGIN * col_norm * t_eff * _EPS and rss[-1] > _MIN_RSS_SHARE * yty):
-        return _select_lag_by_refits(resp, ylags, xlags)
-    bic = t_eff * np.log(rss / t_eff) + ks * math.log(t_eff)
-    best = int(np.argmin(bic))  # first minimum: ties go to the smaller p
-    # relative RSS error of a least-squares residual ~ eps * cond * |resp| / |resid|
-    rss_err = _MARGIN * _EPS * (col_norm / sigma_min) * math.sqrt(yty / rss[-1])
-    if np.count_nonzero(np.abs(bic - bic[best]) > t_eff * rss_err) != p_max - 1:
-        return _select_lag_by_refits(resp, ylags, xlags)
-    return best + 1
+    # written so that an overflow or a NaN anywhere sends the row to the refits
+    with np.errstate(all="ignore"):
+        yty = float(resp @ resp)
+        rss = np.cumsum(R[:, ::-1, k] ** 2, axis=1)[:, ::-1][:, ks]  # sums of squares of R[1+2p:, -1]
+        col_norm = np.sqrt((A[:, :, :k] ** 2).sum(axis=1)).max(axis=1)
+        # a non-finite R would stop the SVD of the whole stack; its zeros fail the test below
+        Rk = R[:, :k, :k]
+        Rk = np.where(np.isfinite(Rk).all(axis=(1, 2))[:, None, None], Rk, 0.0)
+        sigma_min = np.linalg.svd(Rk, compute_uv=False)[:, -1]
+        bic = t_eff * np.log(rss / t_eff) + ks * math.log(t_eff)
+        best = np.argmin(bic, axis=1)  # first minimum: ties go to the smaller p
+        # relative RSS error of a least-squares residual ~ eps * cond * |resp| / |resid|
+        rss_err = _MARGIN * _EPS * (col_norm / sigma_min) * np.sqrt(yty / rss[:, -1])
+        gaps = np.abs(bic - np.take_along_axis(bic, best[:, None], axis=1))
+        certified = (
+            (sigma_min > _MARGIN * col_norm * t_eff * _EPS)
+            & (rss[:, -1] > _MIN_RSS_SHARE * yty)
+            & (np.count_nonzero(gaps > (t_eff * rss_err)[:, None], axis=1) == p_max - 1)
+        )
+    return [
+        int(b) + 1 if ok else _outcome(_select_lag_by_refits, resp, ylags, x_lags)
+        for x_lags, b, ok in zip(xlags, best, certified)
+    ]
 
 
 def _select_lag_by_refits(resp: np.ndarray, ylags: np.ndarray, xlags: np.ndarray) -> int:
@@ -281,60 +328,49 @@ def _beta_fraction(a: float, b: float, x: float) -> tuple[float, int] | None:
     return None
 
 
-# restricted fits shared by the pairs of one run_battery call, keyed by the
-# target's bytes and the lag; None outside a battery
-_restricted_fits: dict[tuple[bytes, int], RegressionFit] | None = None
-
-
-def _share_restricted_fits(memo: dict | None) -> None:
-    """Set this process's restricted-fit memo (also the battery pool's initializer)."""
-    global _restricted_fits
-    _restricted_fits = memo
-
-
-def _restricted_fit(
-    y: np.ndarray, p: int, ones: np.ndarray, ylags: np.ndarray, resp: np.ndarray
-) -> RegressionFit:
-    """The fit of ``[1, y lags] -> y[p:]``, made once per target and lag within a battery."""
-    memo = _restricted_fits
-    if memo is None:
-        return ols_fit(np.hstack([ones, ylags]), resp)
-    key = (y.tobytes(), p)
-    fit = memo.get(key)
-    if fit is None:
-        fit = memo[key] = ols_fit(np.hstack([ones, ylags]), resp)
-    return fit
-
-
-def granger_test(y: np.ndarray, x: np.ndarray, p: int) -> tuple[float, float]:
+def granger_test(
+    y: np.ndarray, x: np.ndarray, p: int
+) -> tuple[float, float] | list[tuple[float, float] | ValueError]:
     """F test of the x lags in y_t ~ 1 + y_{t-1..t-p} + x_{t-1..t-p}.
 
     Returns (f_stat, p_value). The restricted model drops the x lags;
-    F = ((RSS_r - RSS_u)/p) / (RSS_u/(T_eff - 2p - 1)). Within one
-    ``run_battery`` call the restricted fit is made once per target and lag.
+    F = ((RSS_r - RSS_u)/p) / (RSS_u/(T_eff - 2p - 1)). ``x`` may be a
+    ``(K, T)`` stack of keyword series tested at the same lag; each row then
+    gets its result or its exception (see ``_by_row``), and the restricted
+    fit is made once for all of them.
     """
-    y, x = _check_series(y, x)
+    return _by_row(_f_tests, y, x, p)
+
+
+def _f_tests(y: np.ndarray, xs: np.ndarray, p: int) -> list[tuple[float, float] | ValueError]:
     if p < 1:
         raise ValueError("lag order must be >= 1")
     T = len(y)
     t_eff = T - p
     if t_eff <= 2 * p + 1:
         raise ValueError(f"series too short: T_eff={t_eff} needs T_eff > {2 * p + 1}")
-    resp, ylags, xlags = lag_design(y, x, p, trim=p)
+    resp, ylags, xlags = lag_design(y, xs, p, trim=p)
     if np.ptp(resp) == 0.0 or np.ptp(ylags) == 0.0:
         raise DegenerateSeriesError("target series constant on the estimation sample")
-    if np.ptp(xlags) == 0.0:
-        raise DegenerateSeriesError("predictor series constant on the estimation sample")
+    constant_x = np.ptp(xlags, axis=(1, 2)) == 0.0
     ones = np.ones((t_eff, 1))
-    unrestricted = ols_fit(np.hstack([ones, ylags, xlags]), resp)
-    restricted = _restricted_fit(y, p, ones, ylags, resp)
+    restricted = _outcome(ols_fit, np.hstack([ones, ylags]), resp)
     scale = max(1.0, float(resp @ resp))
-    if unrestricted.rss <= 1e-12 * scale:
-        raise DegenerateSeriesError("unrestricted model fits exactly; F undefined")
     d2 = t_eff - 2 * p - 1
-    f_stat = ((restricted.rss - unrestricted.rss) / p) / (unrestricted.rss / d2)
-    f_stat = max(0.0, f_stat)  # guard the nesting identity against rounding
-    return f_stat, f_upper_tail(f_stat, p, d2)
+
+    def f_test(i: int) -> tuple[float, float] | ValueError:
+        if constant_x[i]:
+            raise DegenerateSeriesError("predictor series constant on the estimation sample")
+        unrestricted = ols_fit(np.hstack([ones, ylags, xlags[i]]), resp)
+        if isinstance(restricted, ValueError):
+            return restricted
+        if unrestricted.rss <= 1e-12 * scale:
+            raise DegenerateSeriesError("unrestricted model fits exactly; F undefined")
+        f_stat = ((restricted.rss - unrestricted.rss) / p) / (unrestricted.rss / d2)
+        f_stat = max(0.0, f_stat)  # guard the nesting identity against rounding
+        return f_stat, f_upper_tail(f_stat, p, d2)
+
+    return [_outcome(f_test, i) for i in range(len(xs))]
 
 
 @dataclass(frozen=True)
@@ -344,42 +380,61 @@ class CrossCorrelation:
     r: float
 
 
-def cross_correlation_sign(y: np.ndarray, x: np.ndarray, max_lag: int) -> CrossCorrelation:
+def cross_correlation_sign(
+    y: np.ndarray, x: np.ndarray, max_lag: int
+) -> CrossCorrelation | list[CrossCorrelation | ValueError]:
     """Sign of the strongest Pearson correlation corr(x_{t-l}, y_t), l = 0..max_lag.
 
-    Ties on |r| go to the smallest lag. Each r comes from centred dot
-    products; lags whose |r| lies within rounding of the best are decided
-    again with ``np.corrcoef``, so ties resolve as that route resolves them.
+    Ties on |r| go to the smallest lag. Each r comes from centred products,
+    for every row of a ``(K, T)`` stack of keyword series at once (each row
+    then gets its answer or its exception, see ``_by_row``). Lags whose |r|
+    lies within rounding of the best are decided again with
+    ``np.corrcoef``, so ties resolve as that route resolves them.
     """
-    y, x = _check_series(y, x)
+    return _by_row(_strongest_lags, y, x, max_lag)
+
+
+def _strongest_lags(y: np.ndarray, xs: np.ndarray, max_lag: int) -> list[CrossCorrelation | ValueError]:
     T = len(y)
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if max_lag >= T / 4:
         raise ValueError(f"max_lag={max_lag} too large for T={T} (needs max_lag < T/4)")
-    if np.ptp(y) == 0.0 or np.ptp(x) == 0.0:
-        raise DegenerateSeriesError("constant series has no correlation phase")
+    constant = DegenerateSeriesError("constant series has no correlation phase")
+    if np.ptp(y) == 0.0:
+        raise constant
     # a lag whose x[:T-lag] or y[lag:] is constant has no correlation: x is
     # constant up to its first change, y from just after its last change
-    x_first_change = int(np.argmax(x != x[0]))
+    lags = np.arange(max_lag + 1)
+    x_first_change = np.argmax(xs != xs[:, :1], axis=1)
     y_last_change = T - 1 - int(np.argmax(y[::-1] != y[-1]))
-    lags = [lag for lag in range(max_lag + 1) if T - lag > x_first_change and lag <= y_last_change]
-    rs = np.empty(len(lags))
+    usable = (T - lags > x_first_change[:, None]) & (lags <= y_last_change)
+    rs = np.empty((len(xs), len(lags)))
     with np.errstate(all="ignore"):  # an under- or overflowing lag is decided below
-        for i, lag in enumerate(lags):
-            xs, ys = x[: T - lag], y[lag:]
-            xc = xs - xs.sum() / len(xs)
-            yc = ys - ys.sum() / len(ys)
-            rs[i] = (xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc))
-    r_abs = np.abs(rs)
-    if not lags or not np.isfinite(r_abs).all():
-        return _strongest_by_corrcoef(y, x, lags)
-    best = int(np.argmax(r_abs))
-    near = [lag for lag, a in zip(lags, r_abs) if a >= r_abs[best] - _R_TIE]
-    if len(near) != 1 or r_abs[best] <= _R_TIE:
-        return _strongest_by_corrcoef(y, x, near)
-    r = float(np.clip(rs[best], -1.0, 1.0))
-    return CrossCorrelation(sign="+" if r >= 0 else "-", lag=lags[best], r=r)
+        for lag in lags:
+            xl, yl = xs[:, : T - lag], y[lag:]
+            xc = xl - xl.sum(axis=1, keepdims=True) / (T - lag)
+            yc = yl - yl.sum() / (T - lag)
+            # row sums, not a matmul, so a row's r does not depend on the stack around it
+            rs[:, lag] = (xc * yc).sum(axis=1) / np.sqrt((xc * xc).sum(axis=1) * (yc @ yc))
+        r_abs = np.where(usable, np.abs(rs), -np.inf)
+        best = np.argmax(r_abs, axis=1)  # first maximum: ties go to the smallest lag
+        top = np.take_along_axis(r_abs, best[:, None], axis=1)
+        near = usable & (r_abs >= top - _R_TIE)
+    finite = np.isfinite(np.where(usable, r_abs, 0.0)).all(axis=1) & usable.any(axis=1)
+    clear = finite & (np.count_nonzero(near, axis=1) == 1) & (top[:, 0] > _R_TIE)
+    constant_x = np.ptp(xs, axis=1) == 0.0
+    results: list[CrossCorrelation | ValueError] = []
+    for i, x in enumerate(xs):
+        if constant_x[i]:
+            results.append(constant)
+        elif clear[i]:
+            r = float(np.clip(rs[i, best[i]], -1.0, 1.0))
+            results.append(CrossCorrelation(sign="+" if r >= 0 else "-", lag=int(best[i]), r=r))
+        else:
+            ties = lags[near[i] if finite[i] else usable[i]]
+            results.append(_outcome(_strongest_by_corrcoef, y, x, ties.tolist()))
+    return results
 
 
 def _strongest_by_corrcoef(y: np.ndarray, x: np.ndarray, lags: list[int]) -> CrossCorrelation:
@@ -387,7 +442,8 @@ def _strongest_by_corrcoef(y: np.ndarray, x: np.ndarray, lags: list[int]) -> Cro
     T = len(y)
     best: CrossCorrelation | None = None
     for lag in lags:
-        r = float(np.corrcoef(x[: T - lag], y[lag:])[0, 1])
+        with np.errstate(all="ignore"):  # a lag that over- or underflows is skipped below
+            r = float(np.corrcoef(x[: T - lag], y[lag:])[0, 1])
         if not np.isfinite(r):
             continue
         if best is None or abs(r) > abs(best.r):
@@ -423,33 +479,47 @@ class GrangerResult:
     status: str  # "ok" or the failure reason
 
 
-def _keyword_block(
-    keyword: str, x: np.ndarray, targets: list[tuple[str, np.ndarray]], p_max: int
+def _target_block(
+    target: str, y: np.ndarray, keywords: list[str], xs: np.ndarray, p_max: int
 ) -> list[GrangerResult]:
-    """One keyword against every target, in target order."""
+    """Every keyword (row of ``xs``) against one target, in keyword order.
+
+    One stacked BIC call gives the lags, one F-test call per lag order tests
+    the rows that chose it, and one stacked cross-correlation signs the rows
+    still standing. A row's status is the message of its first failing step.
+    """
+    lags = select_lag_bic(y, xs, p_max)
+    by_lag: dict[int, list[int]] = {}
+    for i, lag in enumerate(lags):
+        if not isinstance(lag, ValueError):
+            by_lag.setdefault(lag, []).append(i)
+    tests = list(lags)
+    for p, rows in sorted(by_lag.items()):
+        for i, test in zip(rows, granger_test(y, xs[rows], p)):
+            tests[i] = test
+    standing = [i for i, test in enumerate(tests) if not isinstance(test, ValueError)]
+    signs = dict(zip(standing, cross_correlation_sign(y, xs[standing], p_max)))
     results = []
-    for target, y in targets:
-        try:
-            p = select_lag_bic(y, x, p_max)
-            f_stat, p_value = granger_test(y, x, p)
-            cc = cross_correlation_sign(y, x, p_max)
-        except (DegenerateSeriesError, RankDeficientError, ValueError) as exc:
+    for i, keyword in enumerate(keywords):
+        outcome = signs.get(i, tests[i])
+        if isinstance(outcome, ValueError):
             results.append(
                 GrangerResult(
                     keyword=keyword, target=target, lags=None, f_stat=None,
-                    p_value=None, stars="", cc_sign="", status=str(exc),
+                    p_value=None, stars="", cc_sign="", status=str(outcome),
                 )
             )
             continue
+        f_stat, p_value = tests[i]
         results.append(
             GrangerResult(
                 keyword=keyword,
                 target=target,
-                lags=p,
+                lags=lags[i],
                 f_stat=f_stat,
                 p_value=p_value,
                 stars=assign_stars(p_value),
-                cc_sign=cc.sign,
+                cc_sign=outcome.sign,
                 status="ok",
             )
         )
@@ -468,8 +538,9 @@ def run_battery(
     a name, are refused. A pair whose test fails (constant series,
     degenerate fits) is reported with the reason in ``status``, not dropped.
     Results are ordered by (keyword, target); each pair tests keyword ->
-    target on levels. With ``workers`` > 1 the keywords are tested in a
-    process pool, one block per keyword; the results are the same.
+    target on levels. The battery runs one target at a time against all
+    keywords at once; with ``workers`` > 1 the targets are tested in a
+    process pool, one block per target; the results are the same.
     """
     if not sbs_series or not targets:
         raise ValueError("need at least one keyword series and one target series")
@@ -480,26 +551,17 @@ def run_battery(
     if len({len(s) for s in sbs_series + targets}) > 1:
         lengths = ", ".join(f"{s.name!r}: {len(s)}" for s in sbs_series + targets)
         raise ValueError(f"series lengths differ, need one value per window of one grid: {lengths}")
-    keyword_vecs = {s.name: np.asarray(s.values, dtype=float) for s in sbs_series}
+    keyword_vecs = {s.name: s.values for s in sbs_series}
     target_vecs = {t.name: np.asarray(t.values, dtype=float) for t in targets}
     keywords = sorted(keyword_vecs)
-    block = partial(
-        _keyword_block,
-        targets=[(name, target_vecs[name]) for name in sorted(target_vecs)],
-        p_max=p_max,
-    )
-    xs = [keyword_vecs[kw] for kw in keywords]
-    # every keyword shares one restricted fit per (target, lag): serially for
-    # this call, in a pool within each worker process, which ends with the pool
-    if workers <= 1 or len(keywords) < 2:
-        _share_restricted_fits({})
-        try:
-            blocks = list(map(block, keywords, xs))
-        finally:
-            _share_restricted_fits(None)
+    names = sorted(target_vecs)
+    xs = np.array([keyword_vecs[kw] for kw in keywords], dtype=float)
+    block = partial(_target_block, keywords=keywords, xs=xs, p_max=p_max)
+    ys = [target_vecs[name] for name in names]
+    if workers <= 1 or len(names) < 2:
+        blocks = list(map(block, names, ys))
     else:
-        workers = min(workers, len(keywords))
-        # map returns the blocks in keyword order regardless of scheduling
-        with ProcessPoolExecutor(workers, initializer=_share_restricted_fits, initargs=({},)) as pool:
-            blocks = list(pool.map(block, keywords, xs))
-    return [r for results in blocks for r in results]
+        # map returns the blocks in target order regardless of scheduling
+        with ProcessPoolExecutor(min(workers, len(names))) as pool:
+            blocks = list(pool.map(block, names, ys))
+    return [r for by_keyword in zip(*blocks) for r in by_keyword]

@@ -479,6 +479,17 @@ class TestFastPathsMatchReference:
         assert routes["corrcoef"] > 0 and routes["dot"] > 0
 
 
+def _pair_result(keyword, target, y, x, p_max):
+    """One pair through the 1-d public functions, as a ``GrangerResult`` tuple."""
+    try:
+        p = select_lag_bic(y, x, p_max)
+        f_stat, p_value = granger_test(y, x, p)
+        cc = cross_correlation_sign(y, x, p_max)
+    except ValueError as exc:
+        return (keyword, target, None, None, None, "", "", str(exc))
+    return (keyword, target, p, f_stat, p_value, assign_stars(p_value), cc.sign, "ok")
+
+
 class TestSharedRestrictedFit:
     """A battery fits each target's restricted model once per lag, and its
     results are those of pair-by-pair tests."""
@@ -491,15 +502,12 @@ class TestSharedRestrictedFit:
             keywords = [_weekly("x", x), _weekly("xr", x[::-1]), _weekly("y", y)]
             targets = [_weekly("t_x", x), _weekly("t_y", y)]
             battery = run_battery(keywords, targets, p_max=p_max)
-            # outside a battery every granger_test makes its own restricted fit
             pairwise = [
-                r
+                _pair_result(kw.name, t.name, np.asarray(t.values), np.asarray(kw.values), p_max)
                 for kw in keywords
-                for r in causality._keyword_block(
-                    kw.name, np.asarray(kw.values), [(t.name, np.asarray(t.values)) for t in targets], p_max
-                )
+                for t in targets
             ]
-            assert [astuple(r) for r in battery] == [astuple(r) for r in pairwise]
+            assert [astuple(r) for r in battery] == pairwise
 
         check()
 
@@ -520,4 +528,120 @@ class TestSharedRestrictedFit:
             assert ols.call_count == len(results) + len(distinct)
             counts.append(ols.call_count)
         assert counts[0] == counts[1]
-        assert causality._restricted_fits is None
+
+    def test_one_series_makes_its_own_restricted_fit(self, rng):
+        y, x = ar_with_cross(rng, 120)
+        with mock.patch.object(causality, "ols_fit", wraps=causality.ols_fit) as ols:
+            granger_test(y, x, 2)
+            granger_test(y, x, 2)
+        assert ols.call_count == 4
+
+
+def _stack_rows(y, x, rng):
+    """Ordinary keyword rows and degenerate ones for the target ``y``."""
+    T = len(y)
+    steps = np.full(T, 0.1)
+    steps[T - 1 - int(rng.integers(0, 4))] = 1.0
+    non_finite = x.copy()
+    non_finite[int(rng.integers(0, T))] = np.nan
+    return [
+        x,
+        x[::-1].copy(),
+        np.round(2.0 * x),
+        np.r_[(y[1:] - 1.0) / 2.0, 0.0],  # y_t = 2 x_{t-1} + 1: an exact fit
+        steps,
+        0.1 + 1e-13 * x,  # near constant
+        np.full(T, 0.3),  # constant
+        y.copy(),
+        non_finite,
+        1e200 * x,
+        1e-200 * x,
+    ]
+
+
+def _row_outcomes(outcomes):
+    return [(type(o), str(o)) if isinstance(o, Exception) else o for o in outcomes]
+
+
+class TestStackedCalls:
+    """A (K, T) stack of keyword series gives, row by row, the answer of the
+    1-d call, or the same exception type and message."""
+
+    def test_rows_equal_one_series_calls(self):
+        @settings(max_examples=150)
+        @given(_series_pairs(), st.randoms(use_true_random=False))
+        def check(case, shuffle):
+            y, x, p_max = case
+            rows = _stack_rows(y, x, np.random.default_rng(shuffle.getrandbits(32)))
+            shuffle.shuffle(rows)
+            stack = np.array(rows)
+            for fn in (select_lag_bic, granger_test, cross_correlation_sign):
+                stacked = fn(y, stack, p_max)
+                assert isinstance(stacked, list) and len(stacked) == len(rows)
+                assert _row_outcomes(stacked) == [_outcome(fn, y, row, p_max) for row in rows]
+
+        check()
+
+    def test_a_check_of_the_target_is_every_rows_exception(self, rng):
+        x = rng.normal(size=(3, 20))
+        lags = select_lag_bic(rng.normal(size=20), x, 8)
+        assert _row_outcomes(lags) == [(ValueError, "series too short: T=20 needs T > 25 for p_max=8")] * 3
+        tests = granger_test(np.ones(20), x, 2)
+        assert _row_outcomes(tests) == [
+            (DegenerateSeriesError, "target series constant on the estimation sample")
+        ] * 3
+
+    def test_empty_stack(self, rng):
+        assert select_lag_bic(rng.normal(size=60), np.empty((0, 60)), 4) == []
+
+    def test_shapes_refused_for_the_whole_call(self, rng):
+        with pytest.raises(ValueError, match="series lengths differ: 60 vs 50"):
+            granger_test(rng.normal(size=60), rng.normal(size=(3, 50)), 2)
+        with pytest.raises(ValueError, match="series must be 1-d"):
+            cross_correlation_sign(rng.normal(size=60), rng.normal(size=(2, 3, 60)), 4)
+
+
+class TestExtremeScales:
+    """Series that over- or underflow in squares and products are decided
+    without a RuntimeWarning (which pytest turns into an error)."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_select_lag_bic_takes_the_refits_silently(self, rng, scale):
+        y, x = ar_with_cross(rng, 120)
+        refits = mock.patch.object(causality, "_select_lag_by_refits", wraps=causality._select_lag_by_refits)
+        with refits as spy:
+            got = _outcome(select_lag_bic, y, x * scale, 4)
+        assert spy.called
+        assert got == _outcome(select_lag_bic_reference, y, x * scale, 4)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_cross_correlation_sign_silent_in_corrcoef(self, rng, scale):
+        y, x = ar_with_cross(rng, 120)
+        y = y * min(scale, 1.0)  # 1e-200 on both sides underflows every product
+        got = _outcome(cross_correlation_sign, y, x * scale, 4)
+        with np.errstate(all="ignore"):
+            want = _outcome(cross_correlation_reference, y, x * scale, 4)
+        if isinstance(got, CrossCorrelation):
+            assert (got.sign, got.lag, got.r) == want
+        else:
+            assert got == want
+
+    def test_a_row_whose_qr_overflows_takes_the_refits_alone(self, rng):
+        # finite values near the float maximum overflow the QR's column norms,
+        # and a non-finite R would stop the SVD of every row in the stack
+        y, x = ar_with_cross(rng, 120)
+        huge = 1.5e308 * np.sign(x)
+        lags = select_lag_bic(y, np.stack([x, huge]), 4)
+        assert lags[0] == select_lag_bic(y, x, 4)
+        assert _row_outcomes(lags[1:]) == [_outcome(select_lag_bic_reference, y, huge, 4)]
+
+    def test_battery_reports_every_pair(self, rng):
+        y, x = ar_with_cross(rng, 160)
+        keywords = [_weekly("big", 1e200 * x), _weekly("tiny", 1e-200 * x), _weekly("plain", x)]
+        targets = [_weekly("t", y), _weekly("noise", rng.normal(size=160))]
+        out = run_battery(keywords, targets, p_max=4)
+        assert [(r.keyword, r.target) for r in out] == sorted(
+            (kw.name, t.name) for kw in keywords for t in targets
+        )
+        assert all(r.status for r in out)
+        assert next(r for r in out if (r.keyword, r.target) == ("plain", "t")).status == "ok"

@@ -73,7 +73,8 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> RegressionFit:
         raise ValueError(f"need more rows than columns, got {rows}x{cols}")
     Q, R, piv = qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    tol = diag[0] * max(rows, cols) * np.finfo(float).eps if diag.size else 0.0
+    with np.errstate(over="ignore"):  # an overflowing tolerance reports rank 0
+        tol = diag[0] * max(rows, cols) * np.finfo(float).eps if diag.size else 0.0
     rank = int(np.sum(diag > tol))
     if rank < cols:
         raise RankDeficientError(sorted(int(c) for c in piv[rank:]))
@@ -442,8 +443,13 @@ def _strongest_by_corrcoef(y: np.ndarray, x: np.ndarray, lags: list[int]) -> Cro
     T = len(y)
     best: CrossCorrelation | None = None
     for lag in lags:
-        with np.errstate(all="ignore"):  # a lag that over- or underflows is skipped below
-            r = float(np.corrcoef(x[: T - lag], y[lag:])[0, 1])
+        # a lag that underflows gives a non-finite r; one that overflows is
+        # skipped too, because np.corrcoef then returns a finite r = ±0
+        with np.errstate(all="ignore", over="raise"):
+            try:
+                r = float(np.corrcoef(x[: T - lag], y[lag:])[0, 1])
+            except FloatingPointError:
+                continue
         if not np.isfinite(r):
             continue
         if best is None or abs(r) > abs(best.r):

@@ -59,12 +59,14 @@ class CanonicalMap:
     """Compiled lookup structures used by text normalization.
 
     ``stem_map`` maps post-stem surface forms to labels; ``phrases`` holds
-    tokenized multi-word members, longest first; ``labels`` lets normalized
-    labels pass through later stages untouched.
+    tokenized multi-word members, longest first; ``phrase_starts`` maps the
+    first word of each phrase to its entries of ``phrases``, in that order;
+    ``labels`` lets normalized labels pass through later stages untouched.
     """
 
     stem_map: dict[str, str]
     phrases: tuple[tuple[tuple[str, ...], str], ...]
+    phrase_starts: dict[str, tuple[tuple[tuple[str, ...], str], ...]]
     labels: frozenset[str]
 
 
@@ -156,4 +158,12 @@ def compile_canonical_map(
             )
         stem_map.setdefault(ks.label, ks.label)
     phrases.sort(key=lambda e: (-len(e[0]), e[0]))
-    return CanonicalMap(stem_map=stem_map, phrases=tuple(phrases), labels=labels)
+    phrase_starts: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+    for entry in phrases:
+        phrase_starts.setdefault(entry[0][0], []).append(entry)
+    return CanonicalMap(
+        stem_map=stem_map,
+        phrases=tuple(phrases),
+        phrase_starts={word: tuple(entries) for word, entries in phrase_starts.items()},
+        labels=labels,
+    )

@@ -92,7 +92,8 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 class _StemMemo:
     """A token -> stem dict in front of a stemmer: each distinct token is
-    stemmed once, by the wrapped stemmer's ``stem``."""
+    stemmed once, by the wrapped stemmer's ``stem``, for as long as the memo
+    lives."""
 
     def __init__(self, stemmer: Stemmer):
         self._stemmer = stemmer
@@ -116,16 +117,16 @@ def score_window(
     """Score ``keywords`` on the texts of one window's documents.
 
     A pure function of its arguments, so windows can be scored in any
-    process and order. Each distinct token of the window is stemmed once.
+    process and order. Each distinct token is stemmed once: a stemmer that
+    is not yet a ``_StemMemo`` is wrapped in one for this call.
     """
     from . import network
 
-    window_cfg = replace(text_cfg, stemmer=_StemMemo(text_cfg.stemmer))
-    sequences = [textproc.normalize_document(text, window_cfg) for text in texts]
+    if not isinstance(text_cfg.stemmer, _StemMemo):
+        text_cfg = replace(text_cfg, stemmer=_StemMemo(text_cfg.stemmer))
+    sequences = [textproc.normalize_document(text, text_cfg) for text in texts]
     prev = network.prevalence(sequences)
-    records = textproc.merge_cooccurrences(
-        textproc.sequence_cooccurrences(seq, text_cfg.window_size) for seq in sequences
-    )
+    records = textproc.sequence_cooccurrences(sequences, text_cfg.window_size)
     graph = network.build_graph(
         records,
         min_edge_weight=min_edge_weight,
@@ -143,12 +144,15 @@ def _score_windows(
     cfg: RunConfig,
     workers: int,
 ) -> list[list[SbsScore]]:
-    """Each window's scores, in window order."""
+    """Each window's scores, in window order.
+
+    One stem memo serves the whole run; each pool task gets its own copy.
+    """
     indices = [w.index for w in windows]
     texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
     score = partial(
         score_window,
-        text_cfg=text_cfg,
+        text_cfg=replace(text_cfg, stemmer=_StemMemo(text_cfg.stemmer)),
         keywords=keywords,
         min_edge_weight=cfg.min_edge_weight,
     )

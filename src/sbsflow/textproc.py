@@ -88,23 +88,23 @@ def tokenize(text: str, min_len: int = 2) -> list[str]:
 
 
 def _apply_phrases(tokens: list[str], canonical: "CanonicalMap") -> list[str]:
-    # greedy longest-first scan; phrase entries are pre-sorted longest-first
+    # greedy longest-first scan over the phrases that start with the current
+    # token; each entry list of ``phrase_starts`` is longest first
+    starts = canonical.phrase_starts
     out: list[str] = []
     i = 0
     n = len(tokens)
     while i < n:
-        label = None
-        for words, lab in canonical.phrases:
+        tok = tokens[i]
+        for words, label in starts.get(tok, ()):
             k = len(words)
-            if i + k <= n and tuple(tokens[i : i + k]) == words:
-                label = lab
+            if tuple(tokens[i : i + k]) == words:
+                out.append(label)
                 i += k
                 break
-        if label is None:
-            out.append(tokens[i])
-            i += 1
         else:
-            out.append(label)
+            out.append(tok)
+            i += 1
     return out
 
 
@@ -152,25 +152,46 @@ def extract_cooccurrences(tokens: Iterable[str], window_size: int) -> Counter:
     return sequence_cooccurrences(TokenSequence(sentences=(tuple(tokens),)), window_size)
 
 
-def sequence_cooccurrences(seq: TokenSequence, window_size: int) -> Counter:
+def sequence_cooccurrences(
+    sequences: TokenSequence | Iterable[TokenSequence], window_size: int
+) -> Counter:
     """Count unordered token pairs closer than ``window_size`` positions.
 
-    One increment per position pair (p, q) within a sentence with p < q,
-    q - p < window_size and distinct tokens. Every key is ``(a, b)`` with
-    ``a < b``: this is where pair orientation is decided, and
-    ``build_graph`` and ``WordGraph`` rely on it.
+    ``sequences`` is one document's ``TokenSequence`` or a window's; one
+    document is a window of one. One increment per position pair (p, q)
+    within a sentence with p < q, q - p < window_size and distinct tokens.
+    Every key is ``(a, b)`` with ``a < b``: this is where pair orientation
+    is decided, and ``build_graph`` and ``WordGraph`` rely on it.
     """
+    # numpy is imported here: config imports keywords, which imports this
+    # module, and `sbsflow validate` loads no numeric stack
+    import numpy as np
+
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
-    counts: Counter = Counter()
-    for toks in seq.sentences:
-        for q in range(1, len(toks)):
-            for p in range(max(0, q - window_size + 1), q):
-                a, b = toks[p], toks[q]
-                if a == b:
-                    continue
-                counts[(a, b) if a < b else (b, a)] += 1
-    return counts
+    if isinstance(sequences, TokenSequence):
+        sequences = (sequences,)
+    sentences = [sent for seq in sequences for sent in seq.sentences]
+    tokens = [tok for sent in sentences for tok in sent]
+    # ids over the sorted vocabulary, so id order is token order
+    vocab = sorted(set(tokens))
+    index = {tok: i for i, tok in enumerate(vocab)}
+    ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    sentence_of = np.repeat(np.arange(len(sentences)), lengths)
+    n_vocab = len(vocab)
+    keys = [np.empty(0, dtype=np.int64)]
+    for offset in range(1, min(window_size, len(tokens))):
+        a, b = ids[:-offset], ids[offset:]
+        keep = (sentence_of[:-offset] == sentence_of[offset:]) & (a != b)
+        a, b = a[keep], b[keep]
+        keys.append(np.minimum(a, b) * n_vocab + np.maximum(a, b))
+    # keys of a large window span up to V**2, too sparse for bincount
+    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+    lo, hi = np.divmod(pairs, n_vocab)
+    return Counter({
+        (vocab[i], vocab[j]): c for i, j, c in zip(lo.tolist(), hi.tolist(), counts.tolist())
+    })
 
 
 def merge_cooccurrences(parts: Iterable[Counter]) -> Counter:

@@ -213,7 +213,7 @@ def select_lag_bic_reference(y, x, p_max):
 def cross_correlation_reference(y, x, max_lag):
     """(sign, lag, r) of the strongest ``np.corrcoef`` correlation of
     x_{t-l} with y_t over l = 0..max_lag; ties on |r| go to the smaller lag,
-    and a lag whose slices are constant is skipped."""
+    and a lag whose slices are constant or whose products overflow is skipped."""
     y, x = _checked_series(y, x)
     T = len(y)
     if max_lag < 0:
@@ -228,7 +228,11 @@ def cross_correlation_reference(y, x, max_lag):
         ys = y[lag:]
         if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
             continue
-        r = float(np.corrcoef(xs, ys)[0, 1])
+        try:
+            with np.errstate(over="raise"):
+                r = float(np.corrcoef(xs, ys)[0, 1])
+        except FloatingPointError:  # overflowing products leave r meaningless
+            continue
         if not np.isfinite(r):
             continue
         if best is None or abs(r) > abs(best[2]):

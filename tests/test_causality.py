@@ -626,6 +626,20 @@ class TestExtremeScales:
         else:
             assert got == want
 
+    @pytest.mark.parametrize("scale", [1e200, 1e306])
+    def test_cross_correlation_refuses_overflowing_products(self, rng, scale):
+        # np.corrcoef returns r = ±0 when its variances overflow
+        y, x = ar_with_cross(rng, 120)
+        assert cross_correlation_sign(y, x, 4).lag == 1
+        with pytest.raises(DegenerateSeriesError, match="no lag produced a finite correlation"):
+            cross_correlation_sign(y, scale * x, 4)
+
+    def test_battery_reports_a_keyword_whose_rank_tolerance_overflows(self, rng):
+        y, x = ar_with_cross(rng, 120)
+        (huge,) = run_battery([_weekly("huge", 1e306 * x)], [_weekly("t", y)], p_max=4)
+        assert huge.status.startswith("rank-deficient design")
+        assert huge.f_stat is None
+
     def test_a_row_whose_qr_overflows_takes_the_refits_alone(self, rng):
         # finite values near the float maximum overflow the QR's column norms,
         # and a non-finite R would stop the SVD of every row in the stack

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import sbsflow
 from sbsflow import config, pipeline
 from sbsflow.cli import main as cli_main
+from sbsflow.keywords import compile_canonical_map, parse_registry
 from sbsflow.pipeline import (
     MANIFEST_JSON,
     PLOT_CSV,
@@ -27,6 +28,7 @@ from sbsflow.pipeline import (
     WEEKLY_CSV,
     ConfigError,
     PipelineError,
+    load_stopwords,
     run_pipeline,
     score_window,
     validate_config,
@@ -482,6 +484,18 @@ def test_score_window_stems_each_distinct_token_once():
     assert counting.calls == Counter(dict.fromkeys(words, 2))
     plain = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"and"}))
     assert score_window(texts, 4, plain, ["market", "price"], min_edge_weight=1) == scores
+
+
+def test_serial_run_stems_each_distinct_token_once(fixture, tmp_path, monkeypatch):
+    counting = CountingStemmer()
+    monkeypatch.setattr(pipeline, "get_stemmer", lambda language: counting)
+    cfg = validate_config(fixture.config_path)
+    run_pipeline(cfg, tmp_path, workers=1, stage_mode="score")
+    # the registry stems its single-word members with the bare stemmer
+    registry = CountingStemmer()
+    compile_canonical_map(parse_registry(cfg.registry_path), registry, load_stopwords(cfg.stopwords_path))
+    corpus_calls = counting.calls - registry.calls
+    assert set(corpus_calls.values()) == {1}
 
 
 def test_battery_workers_leave_artifacts_identical(fixture, scored_and_tested, tmp_path):

@@ -11,9 +11,12 @@ from sbsflow.keywords import KeywordSet, compile_canonical_map
 from sbsflow.stemming import NullStemmer, PorterStemmer
 from sbsflow.textproc import (
     TextConfig,
+    TokenSequence,
+    _apply_phrases,
     extract_cooccurrences,
     normalize,
     normalize_document,
+    sequence_cooccurrences,
     split_sentences,
     tokenize,
 )
@@ -167,6 +170,103 @@ class TestExtractCooccurrences:
     @given(tokens_st, st.integers(min_value=2, max_value=6))
     def test_determinism(self, tokens, window):
         assert extract_cooccurrences(tokens, window) == extract_cooccurrences(tokens, window)
+
+
+# documents of sentences; empty and one-token sentences, repeats and accents
+documents_st = st.lists(
+    st.lists(
+        st.lists(st.sampled_from(["alpha", "beta", "perché", "città", "zeta", "économie", "éa"]), max_size=8),
+        max_size=4,
+    ).map(lambda doc: TokenSequence(sentences=tuple(map(tuple, doc)))),
+    max_size=5,
+)
+
+
+class TestWindowCooccurrences:
+    @given(documents_st, st.integers(min_value=2, max_value=6))
+    def test_window_equals_sum_of_sentences(self, docs, window):
+        expected: Counter = Counter()
+        for seq in docs:
+            for sent in seq.sentences:
+                expected.update(brute_force_pairs(sent, window))
+        got = sequence_cooccurrences(docs, window)
+        assert got == expected
+        for (a, b), count in got.items():
+            assert a < b
+            assert type(count) is int
+
+    @given(documents_st, st.integers(min_value=2, max_value=6))
+    def test_one_sequence_is_a_window_of_one(self, docs, window):
+        for seq in docs:
+            assert sequence_cooccurrences(seq, window) == sequence_cooccurrences([seq], window)
+
+    def test_empty_window(self):
+        assert sequence_cooccurrences([], 3) == Counter()
+        assert sequence_cooccurrences(TokenSequence(sentences=((), ("a",))), 3) == Counter()
+
+
+def _phrases_by_linear_scan(tokens, canonical):
+    """Greedy longest-first phrase collapse trying every phrase at every token."""
+    out, i = [], 0
+    while i < len(tokens):
+        for words, label in canonical.phrases:
+            if tuple(tokens[i : i + len(words)]) == words:
+                out.append(label)
+                i += len(words)
+                break
+        else:
+            out.append(tokens[i])
+            i += 1
+    return out
+
+
+PHRASE_WORDS = ["interest", "rate", "cut", "bank", "italy"]
+
+
+@st.composite
+def phrases_and_tokens(draw):
+    """Multi-word members over a few words, and a token list made of whole
+    members, members cut short and single words."""
+    members = sorted(draw(st.sets(
+        st.lists(st.sampled_from(PHRASE_WORDS), min_size=2, max_size=4).map(tuple), max_size=8
+    )))
+    chunk = st.lists(st.sampled_from([*PHRASE_WORDS, "rose"]), min_size=1, max_size=1)
+    if members:
+        member = st.sampled_from(members)
+        chunk |= member.map(list) | st.tuples(member, st.integers(1, 3)).map(lambda m: list(m[0][: m[1]]))
+    tokens = [tok for part in draw(st.lists(chunk, max_size=6)) for tok in part]
+    return members, tokens
+
+
+class TestPhraseIndex:
+    @given(phrases_and_tokens())
+    def test_equals_linear_scan(self, drawn):
+        members, tokens = drawn
+        sets = [KeywordSet(f"p{i}", (" ".join(m),)) for i, m in enumerate(members)]
+        cm = compile_canonical_map(sets, NullStemmer())
+        assert _apply_phrases(tokens, cm) == _phrases_by_linear_scan(tokens, cm)
+
+    def test_shared_first_word_and_cut_off_phrase(self):
+        cm = compile_canonical_map(
+            [
+                KeywordSet("interest_rate", ("interest rate",)),
+                KeywordSet("interest_rate_cut", ("interest rate cut",)),
+                KeywordSet("interest_cover", ("interest cover",)),
+            ],
+            NullStemmer(),
+        )
+        assert [words for words, _ in cm.phrase_starts["interest"]] == [
+            ("interest", "rate", "cut"), ("interest", "cover"), ("interest", "rate"),
+        ]
+        for tokens, expected in [
+            (["interest", "rate", "cut", "rose"], ["interest_rate_cut", "rose"]),
+            (["interest", "cover", "interest", "rate"], ["interest_cover", "interest_rate"]),
+            # the three-word phrase is cut off by the end of the sentence
+            (["rose", "interest", "rate"], ["rose", "interest_rate"]),
+            (["rose", "interest"], ["rose", "interest"]),
+        ]:
+            assert _apply_phrases(tokens, cm) == expected
+            assert _phrases_by_linear_scan(tokens, cm) == expected
 
 
 class TestNormalizeDocument:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, validate_config
@@ -49,6 +50,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         print(f"config ok: {args.config}")
         return 0
+    # the process pools are the only parallelism: OpenBLAS helper threads
+    # would spin beside them and restart around every fork
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # the numeric stack loads only for a command that runs the pipeline
     from .pipeline import run_pipeline
 

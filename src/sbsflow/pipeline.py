@@ -136,6 +136,20 @@ def score_window(
     return network.sbs(graph, prev, keywords)
 
 
+# a pool worker's scoring function, with the worker's own stem memo; set once
+# per process by the pool's initializer
+_worker_score = None
+
+
+def _start_score_worker(score) -> None:
+    global _worker_score
+    _worker_score = score
+
+
+def _score_in_worker(texts: list[str], window_index: int) -> list[SbsScore]:
+    return _worker_score(texts, window_index)
+
+
 def _score_windows(
     windows: list[TimeWindow],
     assignment: WindowAssignment,
@@ -146,7 +160,9 @@ def _score_windows(
 ) -> list[list[SbsScore]]:
     """Each window's scores, in window order.
 
-    One stem memo serves the whole run; each pool task gets its own copy.
+    One stem memo serves the whole run. With ``workers`` > 1 the pool hands
+    out one window per task to whichever worker is free, and each worker
+    process keeps one copy of the memo for all the windows it scores.
     """
     indices = [w.index for w in windows]
     texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
@@ -156,11 +172,12 @@ def _score_windows(
         keywords=keywords,
         min_edge_weight=cfg.min_edge_weight,
     )
+    workers = min(workers, len(windows))
     if workers <= 1:
         return list(map(score, texts, indices))
     # map returns results in window order regardless of scheduling
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(score, texts, indices))
+    with ProcessPoolExecutor(workers, initializer=_start_score_worker, initargs=(score,)) as pool:
+        return list(pool.map(_score_in_worker, texts, indices))
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +435,11 @@ def _write_manifest(out: Path, manifest: dict, artifacts: list[Path]) -> None:
 
 def _dump_number(cell: str, column: str, where: str, parse=float):
     """The finite number in ``cell``, or a refusal naming its column."""
+    # int and float also read "_" separators, padding and non-ASCII digits,
+    # none of which the writers emit
+    plain = cell.isascii() and "_" not in cell and cell == cell.strip()
     try:
-        value = parse(cell)
+        value = parse(cell) if plain else math.nan
     except ValueError:
         value = math.nan
     if not math.isfinite(value):

@@ -63,7 +63,8 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
     """Parse ``month,series1,series2,...`` CSV with YYYY-MM months.
 
     Blank or repeated series names, month gaps, duplicate months and
-    non-numeric cells are fatal, reported with their row and column.
+    non-numeric cells (``_`` digit separators included) are fatal, reported
+    with their row and column.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -105,6 +106,8 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
             months.append(m)
             for col, cell in enumerate(row[1:]):
                 try:
+                    if "_" in cell:  # float reads "100_5" as 1005.0
+                        raise ValueError(cell)
                     v = float(cell)
                 except ValueError:
                     raise SeriesError(

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from datetime import timedelta
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -386,13 +389,28 @@ class TestRunPipeline:
     def test_worker_count_does_not_change_bytes(self, fixture, tmp_path):
         cfg = validate_config(fixture.config_path)
         digests = {}
-        for workers in (1, 4):
+        # more workers than windows start one process per window
+        counts = (1, 2, 4, fixture.n_windows + 1)
+        for workers in counts:
             out = tmp_path / f"w{workers}"
             run_pipeline(cfg, out_dir=out, workers=workers)
             digests[workers] = {
                 name: (out / name).read_bytes() for name in ARTIFACTS
             }
-        assert digests[1] == digests[4]
+        assert all(digests[workers] == digests[1] for workers in counts)
+
+    def test_one_window_grid_scores_alike_on_any_worker_count(self, fixture, tmp_path):
+        start = validate_config(fixture.config_path).start_date
+        config = tmp_path / "cfg.yaml"
+        config.write_text(_rewritten_config(fixture, end_date=start + timedelta(days=7)))
+        cfg = validate_config(config)
+        dumps = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            manifest = run_pipeline(cfg, out_dir=out, workers=workers, stage_mode="score")
+            assert manifest["corpus"]["windows"] == 1
+            dumps[workers] = (out / SCORES_CSV).read_bytes()
+        assert dumps[1] == dumps[2]
 
     def test_score_then_test_equals_run(self, fixture, tmp_path):
         cfg = validate_config(fixture.config_path)
@@ -498,6 +516,42 @@ def test_serial_run_stems_each_distinct_token_once(fixture, tmp_path, monkeypatc
     assert set(corpus_calls.values()) == {1}
 
 
+class LoggingStemmer(PorterStemmer):
+    """Appends ``<pid> <word>`` to ``log`` for every stem call. It pickles as
+    the path of its log, so every pool worker's copy writes to one file."""
+
+    def __init__(self, log: Path):
+        self.log = log
+
+    def stem(self, word):
+        with self.log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {word}\n")
+        return super().stem(word)
+
+
+@pytest.mark.parametrize(
+    "start_method", [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()]
+)
+def test_pooled_run_stems_each_distinct_token_once_per_worker(
+    fixture, tmp_path, monkeypatch, start_method
+):
+    # however the pool shares the windows out, even all to one worker, a
+    # worker process stems each distinct token once
+    log = tmp_path / "stems.log"
+    monkeypatch.setattr(pipeline, "get_stemmer", lambda language: LoggingStemmer(log))
+    context = multiprocessing.get_context(start_method)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+    run_pipeline(validate_config(fixture.config_path), tmp_path / "out", workers=2, stage_mode="score")
+    # the registry is stemmed in this process; the windows only in the workers
+    calls = Counter(
+        (int(pid), word)
+        for pid, word in (line.split() for line in log.read_text(encoding="utf-8").splitlines())
+        if int(pid) != os.getpid()
+    )
+    assert 1 <= len({pid for pid, _ in calls}) <= 2
+    assert set(calls.values()) == {1}
+
+
 def test_battery_workers_leave_artifacts_identical(fixture, scored_and_tested, tmp_path):
     artifacts = {}
     for workers in (1, 2):
@@ -522,7 +576,8 @@ class TestStaleScoreDump:
         shutil.copytree(scored_and_tested, out)
         if edit_dump is not None:
             dump = out / SCORES_CSV
-            dump.write_text("".join(edit_dump(dump.read_text().splitlines(keepends=True))))
+            lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
+            dump.write_text("".join(edit_dump(lines)), encoding="utf-8")
         config = tmp_path / "cfg.yaml"
         config.write_text(_rewritten_config(fixture, out=out, **overrides))
         before = {name: (out / name).read_bytes() for name in ARTIFACTS}
@@ -580,11 +635,19 @@ class TestStaleScoreDump:
              "'connectivity_raw', 'z_prevalence', 'z_diversity', 'z_connectivity', 'sbs']"),
             (_ending_covid_row(",abc"), ", line {line}, column 'sbs': expected a finite float, got 'abc'"),
             (_ending_covid_row(",nan"), ", line {line}, column 'sbs': expected a finite float, got 'nan'"),
+            # float() and int() alone read these three as -33.0, 3.0 and 0
+            (_ending_covid_row(",-3_3"), ", line {line}, column 'sbs': expected a finite float, got '-3_3'"),
+            (_ending_covid_row(",\u0663"), ", line {line}, column 'sbs': expected a finite float, got '\u0663'"),
+            (lambda lines, i: [*lines[:i], " " + lines[i], *lines[i + 1:]],
+             ", line {line}, column 'window_index': expected a finite int, got ' 0'"),
             (_ending_covid_row(""), ", line {line}: expected 10 cells, got 9"),
             (lambda lines, i: [*lines[: i + 1], lines[i], *lines[i + 1:]],
              ", line {repeat}: keyword 'covid' appears twice in window 0"),
         ],
-        ids=["no_sbs_column", "non_numeric_cell", "nan_cell", "short_row", "repeated_row"],
+        ids=[
+            "no_sbs_column", "non_numeric_cell", "nan_cell", "digit_separator_cell",
+            "non_ascii_digit_cell", "padded_window_index", "short_row", "repeated_row",
+        ],
     )
     def test_malformed_dump_refused_with_location(
         self, fixture, scored_and_tested, tmp_path, capsys, edit, refusal
@@ -620,39 +683,62 @@ class TestCli:
         assert "window_size" in capsys.readouterr().err
 
     @staticmethod
-    def _modules_after(argv: list[str]) -> set[str]:
-        """The modules a fresh interpreter holds after ``sbsflow <argv>`` succeeds,
-        so modules imported by the suite do not count."""
+    def _after(argv: list[str], **env: str) -> dict:
+        """What a fresh interpreter holds after ``sbsflow <argv>`` succeeds under
+        ``env``: its ``modules`` (so modules imported by the suite do not count),
+        its ``OPENBLAS_NUM_THREADS`` and its ``threads`` (None where there is no
+        ``/proc/self/task``). ``OPENBLAS_NUM_THREADS`` is unset unless given."""
         code = (
-            "import json, sys\n"
+            "import json, os, sys\n"
             "from sbsflow.cli import main\n"
             f"assert main({argv!r}) == 0\n"
-            "print(json.dumps(sorted(sys.modules)))\n"
+            "tasks = '/proc/self/task'\n"
+            "print(json.dumps({\n"
+            "    'modules': sorted(sys.modules),\n"
+            "    'OPENBLAS_NUM_THREADS': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+            "    'threads': len(os.listdir(tasks)) if os.path.isdir(tasks) else None,\n"
+            "}))\n"
         )
         src = str(Path(sbsflow.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**base, "PYTHONPATH": pythonpath, **env},
         )
-        return set(json.loads(done.stdout.splitlines()[-1]))
+        after = json.loads(done.stdout.splitlines()[-1])
+        return {**after, "modules": set(after["modules"])}
 
     def test_validate_loads_no_numeric_stack(self, fixture):
-        modules = self._modules_after(["validate", "--config", str(fixture.config_path)])
+        modules = self._after(["validate", "--config", str(fixture.config_path)])["modules"]
         assert sorted(m for m in modules if m.startswith(("numpy", "scipy"))) == []
 
     def test_test_loads_neither_network_nor_special_nor_sparse(self, fixture, tmp_path):
         out = str(tmp_path / "o")
         assert cli_main(["score", "--config", str(fixture.config_path), "--out", out]) == 0
-        modules = self._modules_after(["test", "--config", str(fixture.config_path), "--out", out])
+        modules = self._after(["test", "--config", str(fixture.config_path), "--out", out])["modules"]
         assert "scipy.linalg" in modules  # the battery's least squares
         loaded = {"scipy.special", "scipy.sparse", "sbsflow.network"} & modules
         assert loaded == set()
 
     def test_run_loads_no_special(self, fixture, tmp_path):
         argv = ["run", "--config", str(fixture.config_path), "--out", str(tmp_path / "o")]
-        modules = self._modules_after(argv)
+        modules = self._after(argv)["modules"]
         assert "scipy.sparse" in modules  # betweenness distances
         assert "scipy.special" not in modules
+
+    def test_run_keeps_one_blas_thread(self, fixture, tmp_path):
+        # serial: OpenBLAS stops its helper threads before a fork, so only a
+        # run that forks no pool would still show them
+        argv = ["run", "--config", str(fixture.config_path), "--out", str(tmp_path / "o")]
+        after = self._after([*argv, "--workers", "1"])
+        assert after["OPENBLAS_NUM_THREADS"] == "1"
+        assert after["threads"] in (1, None)
+
+    def test_exported_blas_thread_count_wins(self, fixture, tmp_path):
+        argv = ["run", "--config", str(fixture.config_path), "--out", str(tmp_path / "o")]
+        after = self._after(argv, OPENBLAS_NUM_THREADS="2")
+        assert after["OPENBLAS_NUM_THREADS"] == "2"
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_option_exit_1(self, fixture, tmp_path, capsys, workers):

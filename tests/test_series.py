@@ -63,6 +63,19 @@ class TestLoadMonthly:
             load_monthly(p)
         assert "row 3" in str(err.value) and "climate" in str(err.value)
 
+    def test_digit_separator_cell_fatal_with_location(self, tmp_path):
+        # float() alone would read "100_5" as 1005.0
+        p = tmp_path / "m.csv"
+        p.write_text("month,climate,personal\n2017-01,1,2\n2017-02,100_5,3\n")
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}: row 3, column 'climate': non-numeric cell '100_5'"
+
+    def test_padded_cells_accepted(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("month,climate\n2017-01, 101.5\n2017-02,102.25 \n")
+        assert load_monthly(p)[0].values == (101.5, 102.25)
+
     @pytest.mark.parametrize(
         "header, refusal",
         [

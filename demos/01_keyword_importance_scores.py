@@ -13,13 +13,14 @@ from sbsflow import (
     TextConfig,
     build_graph,
     connectivity,
-    diversity,
+    normalize_document,
     prevalence,
     sbs,
+    sequence_cooccurrences,
     write_edgelist,
 )
+from sbsflow.network import diversity_all
 from sbsflow.stemming import NullStemmer
-from sbsflow.textproc import normalize_document, sequence_cooccurrences
 
 SENTENCE = (
     "The same principle, the same love of system, the same regard to the "
@@ -33,21 +34,23 @@ cfg = TextConfig(
     window_size=3,
 )
 
-seq = normalize_document(SENTENCE, cfg)
-print("normalized tokens:", seq.tokens)
+# a window of one document
+window = [normalize_document(SENTENCE, cfg)]
+print("normalized sentences:", window[0].sentences)
 
-records = sequence_cooccurrences(seq, cfg.window_size)
-graph = build_graph(records, extra_nodes=prevalence([seq]).keys())
+prev = prevalence(window)
+records = sequence_cooccurrences(window, cfg.window_size)
+graph = build_graph(records, extra_nodes=prev.keys())
 print(f"\ngraph: {graph.n} nodes, {len(graph.edges)} edges")
 print("neighborhood of 'same':", sorted(graph.neighbors("same")))
 
-prev = prevalence([seq])
+div = diversity_all(graph)
 conn = connectivity(graph)
 print("\nper-word raw scores (top 5 by connectivity):")
 for word in sorted(conn, key=conn.get, reverse=True)[:5]:
     print(
         f"  {word:12s} prevalence={prev[word]:2d} "
-        f"diversity={diversity(graph, word):6.3f} connectivity={conn[word]:6.2f}"
+        f"diversity={div[word]:6.3f} connectivity={conn[word]:6.2f}"
     )
 
 scores = sbs(graph, prev, ["same", "system", "welfare"])

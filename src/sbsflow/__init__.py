@@ -27,15 +27,15 @@ _EXPORTS = {
         "fixture_path", "parse_registry",
     ),
     "network": (
-        "SbsScore", "WordGraph", "build_graph", "connectivity", "diversity", "prevalence",
-        "sbs", "standardize", "write_edgelist",
+        "SbsScore", "WordGraph", "build_graph", "connectivity", "prevalence", "sbs",
+        "standardize", "write_edgelist",
     ),
     "pipeline": ("PipelineError", "run_pipeline", "score_window"),
     "series": ("MonthlySeries", "SeriesError", "WeeklySeries", "disaggregate", "load_monthly"),
     "stemming": ("ItalianStemmer", "NullStemmer", "PorterStemmer", "get_stemmer"),
     "textproc": (
-        "TextConfig", "TokenSequence", "extract_cooccurrences", "normalize",
-        "normalize_document", "split_sentences", "tokenize",
+        "TextConfig", "TokenSequence", "normalize", "normalize_document",
+        "sequence_cooccurrences", "split_sentences", "tokenize",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -81,7 +81,8 @@ class IngestReport:
 def _parse_record(
     raw: dict, line_no: int, cfg: IngestConfig, seen: set[str], report: IngestReport
 ) -> Document | None:
-    doc_id = str(raw.get(cfg.id_field) or "").strip()
+    raw_id = raw.get(cfg.id_field)
+    doc_id = "" if raw_id is None else str(raw_id).strip()
     if not doc_id:
         report.reject(line_no, f"missing or empty {cfg.id_field!r}")
         return None

@@ -33,8 +33,6 @@ __all__ = [
     "fixture_path",
 ]
 
-FIXTURES = ("keywords_core.yaml", "keywords_full.yaml")
-
 # labels become graph nodes and CSV cells; keep them identifier-like
 # (lowercase latin letters incl. accents, digits, underscores)
 _LABEL_RE = re.compile(
@@ -58,14 +56,13 @@ class KeywordSet:
 class CanonicalMap:
     """Compiled lookup structures used by text normalization.
 
-    ``stem_map`` maps post-stem surface forms to labels; ``phrases`` holds
-    tokenized multi-word members, longest first; ``phrase_starts`` maps the
-    first word of each phrase to its entries of ``phrases``, in that order;
-    ``labels`` lets normalized labels pass through later stages untouched.
+    ``stem_map`` maps post-stem surface forms to labels; ``phrase_starts``
+    maps the first word of each tokenized multi-word member to its
+    ``(words, label)`` entries, longest first; ``labels`` lets normalized
+    labels pass through later stages untouched.
     """
 
     stem_map: dict[str, str]
-    phrases: tuple[tuple[tuple[str, ...], str], ...]
     phrase_starts: dict[str, tuple[tuple[tuple[str, ...], str], ...]]
     labels: frozenset[str]
 
@@ -163,7 +160,6 @@ def compile_canonical_map(
         phrase_starts.setdefault(entry[0][0], []).append(entry)
     return CanonicalMap(
         stem_map=stem_map,
-        phrases=tuple(phrases),
         phrase_starts={word: tuple(entries) for word, entries in phrase_starts.items()},
         labels=labels,
     )

@@ -18,22 +18,25 @@ composite score is the sum of the three z-scores.
 """
 from __future__ import annotations
 
+import csv
 import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from .textproc import TokenSequence
+
 __all__ = [
     "WordGraph",
     "SbsScore",
     "build_graph",
     "prevalence",
-    "diversity",
     "diversity_all",
     "connectivity",
     "standardize",
@@ -123,20 +126,9 @@ def build_graph(
     return WordGraph(kept, nodes=extra_nodes, window_index=window_index)
 
 
-def prevalence(sequences) -> Counter:
+def prevalence(sequences: Iterable[TokenSequence]) -> Counter:
     """Token occurrence counts (not document counts) over normalized sequences."""
-    counts: Counter = Counter()
-    for seq in sequences:
-        tokens = seq.tokens if hasattr(seq, "tokens") else seq
-        counts.update(tokens)
-    return counts
-
-
-def diversity(graph: WordGraph, token: str) -> float:
-    """Distinctiveness centrality of one node; see ``diversity_all``."""
-    if token not in graph.index:
-        raise KeyError(f"node {token!r} not in graph")
-    return diversity_all(graph)[token]
+    return Counter(chain.from_iterable(sent for seq in sequences for sent in seq.sentences))
 
 
 def diversity_all(graph: WordGraph) -> dict[str, float]:
@@ -407,6 +399,6 @@ def sbs(
 def write_edgelist(graph: WordGraph, path) -> None:
     """Dump ``word_a,word_b,weight`` rows for external plotting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("word_a,word_b,weight\n")
-        for a, b, w in graph.edge_items():
-            fh.write(f"{a},{b},{w!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("word_a", "word_b", "weight"))
+        writer.writerows(graph.edge_items())

@@ -62,9 +62,10 @@ def _next_month(d: date) -> date:
 def load_monthly(path: str | Path) -> list[MonthlySeries]:
     """Parse ``month,series1,series2,...`` CSV with YYYY-MM months.
 
-    Blank or repeated series names, month gaps, duplicate months and
-    non-numeric cells (``_`` digit separators included) are fatal, reported
-    with their row and column.
+    Blank or repeated series names, month cells other than ASCII digits
+    around one ``-``, month gaps, duplicate months and non-numeric cells
+    (``_`` digit separators included) are fatal, reported with their row
+    and column.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -91,6 +92,9 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
                 raise SeriesError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
             try:
                 year, month = row[0].strip().split("-")
+                # int also reads "_" separators, padding and non-ASCII digits
+                if not all(part.isascii() and part.isdigit() for part in (year, month)):
+                    raise ValueError(row[0])
                 m = date(int(year), int(month), 1)
             except ValueError:
                 raise SeriesError(f"{path}: row {row_no}: bad month {row[0]!r}") from None

@@ -25,7 +25,7 @@ __all__ = [
     "tokenize",
     "normalize",
     "normalize_document",
-    "extract_cooccurrences",
+    "sequence_cooccurrences",
     "merge_cooccurrences",
 ]
 
@@ -40,10 +40,6 @@ class TokenSequence:
     """Normalized tokens of one document, grouped by sentence."""
 
     sentences: tuple[tuple[str, ...], ...]
-
-    @property
-    def tokens(self) -> list[str]:
-        return [t for sent in self.sentences for t in sent]
 
 
 @dataclass
@@ -122,7 +118,7 @@ def normalize(
     own output for the stop-word and canonicalization stages.
     """
     kept = [t for t in tokens if t not in stopwords]
-    if canonical is not None and canonical.phrases:
+    if canonical is not None and canonical.phrase_starts:
         kept = _apply_phrases(kept, canonical)
     if canonical is None:
         return [stemmer.stem(tok) for tok in kept]
@@ -147,19 +143,12 @@ def normalize_document(text: str, cfg: TextConfig) -> TokenSequence:
     return TokenSequence(sentences=tuple(sentences))
 
 
-def extract_cooccurrences(tokens: Iterable[str], window_size: int) -> Counter:
-    """Pair counts of ``tokens`` read as a single sentence."""
-    return sequence_cooccurrences(TokenSequence(sentences=(tuple(tokens),)), window_size)
-
-
-def sequence_cooccurrences(
-    sequences: TokenSequence | Iterable[TokenSequence], window_size: int
-) -> Counter:
+def sequence_cooccurrences(sequences: Iterable[TokenSequence], window_size: int) -> Counter:
     """Count unordered token pairs closer than ``window_size`` positions.
 
-    ``sequences`` is one document's ``TokenSequence`` or a window's; one
-    document is a window of one. One increment per position pair (p, q)
-    within a sentence with p < q, q - p < window_size and distinct tokens.
+    ``sequences`` are the ``TokenSequence``s of one window's documents. One
+    increment per position pair (p, q) within a sentence with p < q,
+    q - p < window_size and distinct tokens.
     Every key is ``(a, b)`` with ``a < b``: this is where pair orientation
     is decided, and ``build_graph`` and ``WordGraph`` rely on it.
     """
@@ -169,8 +158,6 @@ def sequence_cooccurrences(
 
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
-    if isinstance(sequences, TokenSequence):
-        sequences = (sequences,)
     sentences = [sent for seq in sequences for sent in seq.sentences]
     tokens = [tok for sent in sentences for tok in sent]
     # ids over the sorted vocabulary, so id order is token order

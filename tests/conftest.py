@@ -22,7 +22,12 @@ from sbsflow.keywords import compile_canonical_map, parse_registry  # noqa: E402
 from sbsflow.pipeline import load_stopwords, score_window  # noqa: E402
 from sbsflow.series import WeeklySeries  # noqa: E402
 from sbsflow.stemming import get_stemmer  # noqa: E402
-from sbsflow.textproc import TextConfig  # noqa: E402
+from sbsflow.textproc import TextConfig, TokenSequence  # noqa: E402
+
+
+def as_sequence(tokens) -> TokenSequence:
+    """A document whose one sentence is ``tokens``."""
+    return TokenSequence(sentences=(tuple(tokens),))
 
 
 def score_fixture(fx, language="english", stopwords_path=None):

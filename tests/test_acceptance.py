@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import score_fixture
+from conftest import as_sequence, score_fixture
 from oracles import (
     betweenness_by_enumeration,
     natural_spline_eval,
@@ -27,7 +27,7 @@ from sbsflow.causality import (
 )
 from sbsflow.corpus import Document, assign_windows, build_windows
 from sbsflow.keywords import fixture_path
-from sbsflow.network import WordGraph, connectivity, diversity, diversity_all, sbs, standardize
+from sbsflow.network import WordGraph, connectivity, diversity_all, sbs, standardize
 from sbsflow.pipeline import (
     PLOT_CSV,
     SCORES_CSV,
@@ -42,7 +42,6 @@ from sbsflow.stemming import NullStemmer
 from sbsflow.synthetic import make_fixture
 from sbsflow.textproc import (
     TextConfig,
-    extract_cooccurrences,
     normalize_document,
     sequence_cooccurrences,
 )
@@ -76,8 +75,7 @@ def test_criterion_01_centrality_oracle_equivalence():
                 math.log10((n_nodes - 1) / graph.degree(nbr))
                 for nbr in graph.neighbors(token)
             )
-            assert abs(diversity(graph, token) - direct) <= 1e-12
-            assert div_all[token] == diversity(graph, token)
+            assert abs(div_all[token] - direct) <= 1e-12
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _ok(1, f"200 random graphs match enumeration and formula oracles ({elapsed:.1f}s)")
@@ -85,8 +83,9 @@ def test_criterion_01_centrality_oracle_equivalence():
 
 def test_criterion_02_closed_form_centrality_cases():
     star = WordGraph({("hub", f"l{i}"): 1 for i in range(4)})
-    assert abs(diversity(star, "hub") - 4 * math.log10(4)) <= 1e-9
-    assert abs(diversity(star, "hub") - 2.40824) <= 1e-5
+    hub = diversity_all(star)["hub"]
+    assert abs(hub - 4 * math.log10(4)) <= 1e-9
+    assert abs(hub - 2.40824) <= 1e-5
 
     path = WordGraph({("a", "b"): 1, ("b", "c"): 1})
     assert connectivity(path)["b"] == 1.0
@@ -111,7 +110,7 @@ def test_criterion_03_known_sentence_adjacency():
     seq = normalize_document(sentence, cfg)
     from sbsflow.network import build_graph
 
-    graph = build_graph(sequence_cooccurrences(seq, 3))
+    graph = build_graph(sequence_cooccurrences([seq], 3))
     neighborhood = set(graph.neighbors("same"))
     assert {"principle", "love", "system"} <= neighborhood
     _ok(3, f"'same' adjacent to principle/love/system (neighborhood {sorted(neighborhood)})")
@@ -317,11 +316,14 @@ def test_criterion_11_invariant_suite(rng):
     assert abs(sum(z.values()) / len(z)) < 1e-9
 
     # composite score decomposition is exact
-    seqs = [["covid", "badora", "gedora", "covid"], ["badora", "tidora", "gedora"]]
+    seqs = [
+        as_sequence(["covid", "badora", "gedora", "covid"]),
+        as_sequence(["badora", "tidora", "gedora"]),
+    ]
     from sbsflow.network import build_graph, prevalence
 
     prev = prevalence(seqs)
-    records = extract_cooccurrences(seqs[0], 3) + extract_cooccurrences(seqs[1], 3)
+    records = sequence_cooccurrences(seqs, 3)
     graph = build_graph(records, extra_nodes=prev.keys())
     for s in sbs(graph, prev, list(graph.nodes)):
         assert s.sbs == s.z_prevalence + s.z_diversity + s.z_connectivity
@@ -359,7 +361,7 @@ def test_criterion_11_invariant_suite(rng):
 
     # adjacent-pair count conservation at window 2
     tokens = [str(t) for t in rng.integers(0, 5, size=60)]
-    total = sum(extract_cooccurrences(tokens, 2).values())
+    total = sum(sequence_cooccurrences([as_sequence(tokens)], 2).values())
     assert total == sum(1 for a, b in zip(tokens, tokens[1:]) if a != b)
 
     # stars function matches the footnote thresholds exactly

@@ -82,6 +82,27 @@ class TestLoadCorpus:
         assert [d.id for d in docs] == ["d1"]
         assert [line for line, _ in report.rejects] == [2, 3]
 
+    def test_id_zero_is_an_id(self, tmp_path):
+        # a falsy id used to be refused as missing
+        p = tmp_path / "c.jsonl"
+        write_jsonl(
+            p,
+            [
+                make_record(0, "2020-01-01", id=0),
+                make_record(1, "2020-01-01", id="0"),
+                make_record(2, "2020-01-01", id=None),
+                make_record(3, "2020-01-01", id=" "),
+            ],
+        )
+        report = IngestReport()
+        docs = list(load_corpus(p, report=report))
+        assert [d.id for d in docs] == ["0"]
+        assert report.rejects == [
+            (2, "duplicate id '0'"),
+            (3, "missing or empty 'id'"),
+            (4, "missing or empty 'id'"),
+        ]
+
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(CorpusError):
             list(load_corpus(tmp_path / "nope.jsonl"))

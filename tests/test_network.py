@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from unittest import mock
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import as_sequence
 from oracles import betweenness_by_enumeration, random_weighted_graph
 from sbsflow import network
 from sbsflow.network import (
     WordGraph,
     build_graph,
     connectivity,
-    diversity,
+    diversity_all,
     prevalence,
     sbs,
     standardize,
@@ -60,7 +62,7 @@ class TestBuildGraph:
     def test_known_sentence_same_neighborhood(self):
         cfg = TextConfig(stemmer=NullStemmer(), stopwords=SMITH_STOPWORDS, window_size=3)
         seq = normalize_document(SMITH_SENTENCE, cfg)
-        records = sequence_cooccurrences(seq, 3)
+        records = sequence_cooccurrences([seq], 3)
         g = build_graph(records)
         assert {"principle", "love", "system"} <= set(g.neighbors("same"))
 
@@ -83,7 +85,7 @@ class TestPrevalence:
         assert prevalence([]) == Counter()
 
     def test_counts_occurrences_not_documents(self):
-        assert prevalence([["covid", "covid", "euro"]]) == Counter({"covid": 2, "euro": 1})
+        assert prevalence([as_sequence(["covid", "covid", "euro"])]) == Counter({"covid": 2, "euro": 1})
 
     def test_planted_count_recovered(self, rng):
         # generator records the ground truth it plants
@@ -96,42 +98,41 @@ class TestPrevalence:
             planted += k
             for _ in range(k):
                 words.insert(int(rng.integers(0, len(words) + 1)), "covid")
-            docs.append(words)
+            docs.append(as_sequence(words))
         assert prevalence(docs)["covid"] == planted
 
 
 class TestDiversity:
     def test_isolated_node_zero(self):
         g = WordGraph({("a", "b"): 1}, nodes=["c"])
-        assert diversity(g, "c") == 0.0
+        assert diversity_all(g)["c"] == 0.0
 
     def test_star_center_and_leaves(self):
         g = WordGraph({("hub", leaf): 1 for leaf in ["l1", "l2", "l3", "l4"]})
-        assert diversity(g, "hub") == pytest.approx(4 * math.log10(4), abs=1e-12)
+        div = diversity_all(g)
+        assert div["hub"] == pytest.approx(4 * math.log10(4), abs=1e-12)
         for leaf in ["l1", "l2", "l3", "l4"]:
-            assert diversity(g, leaf) == pytest.approx(0.0, abs=1e-12)
+            assert div[leaf] == pytest.approx(0.0, abs=1e-12)
 
     def test_triangle_all_zero(self):
         g = WordGraph({("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1})
-        for node in "abc":
-            assert diversity(g, node) == 0.0
+        assert diversity_all(g) == {"a": 0.0, "b": 0.0, "c": 0.0}
 
     def test_unknown_node_errors(self):
         g = WordGraph({("a", "b"): 1})
         with pytest.raises(KeyError):
-            diversity(g, "zz")
+            diversity_all(g)["zz"]
 
     def test_single_node_graph_zero(self):
         g = WordGraph({}, nodes=["a"])
-        assert diversity(g, "a") == 0.0
+        assert diversity_all(g) == {"a": 0.0}
 
     @given(st.integers(min_value=0, max_value=400))
     def test_bounds_and_term_nonnegativity(self, seed):
         rng = np.random.default_rng(seed)
         n, weights = random_weighted_graph(rng, n_max=8)
         g = graph_from_ints(n, weights)
-        for token in g.nodes:
-            d = diversity(g, token)
+        for token, d in diversity_all(g).items():
             gi = g.degree(token)
             assert 0.0 <= d <= gi * math.log10(max(g.n - 1, 1)) + 1e-12
         # every summand log10((n-1)/g_j) is non-negative since 1 <= g_j <= n-1
@@ -141,7 +142,7 @@ class TestDiversity:
 
     def test_star_center_attains_upper_bound(self):
         g = WordGraph({("hub", f"l{i}"): 1 for i in range(6)})
-        assert diversity(g, "hub") == pytest.approx(
+        assert diversity_all(g)["hub"] == pytest.approx(
             g.degree("hub") * math.log10(g.n - 1), abs=1e-12
         )
 
@@ -337,16 +338,12 @@ class TestStandardize:
 class TestSbs:
     def _toy_window(self):
         seqs = [
-            ["covid", "mercato", "crisi", "covid"],
-            ["mercato", "lavoro", "crisi"],
-            ["covid", "lavoro", "mercato", "covid", "crisi"],
+            as_sequence(["covid", "mercato", "crisi", "covid"]),
+            as_sequence(["mercato", "lavoro", "crisi"]),
+            as_sequence(["covid", "lavoro", "mercato", "covid", "crisi"]),
         ]
         prev = prevalence(seqs)
-        records = Counter()
-        from sbsflow.textproc import extract_cooccurrences
-
-        for s in seqs:
-            records.update(extract_cooccurrences(s, 3))
+        records = sequence_cooccurrences(seqs, 3)
         graph = build_graph(records, extra_nodes=prev.keys(), window_index=7)
         return graph, prev
 
@@ -367,13 +364,9 @@ class TestSbs:
 
     def test_dominant_keyword_has_strictly_largest_sbs(self):
         # one node strictly dominating every raw dimension dominates the sum
-        seqs = [["hub", w, "hub"] for w in ["a1", "b2", "c3", "d4"]]
+        seqs = [as_sequence(["hub", w, "hub"]) for w in ["a1", "b2", "c3", "d4"]]
         prev = prevalence(seqs)
-        records = Counter()
-        from sbsflow.textproc import extract_cooccurrences
-
-        for s in seqs:
-            records.update(extract_cooccurrences(s, 3))
+        records = sequence_cooccurrences(seqs, 3)
         graph = build_graph(records, extra_nodes=prev.keys())
         scores = {s.keyword: s for s in sbs(graph, prev, list(graph.nodes))}
         hub = scores["hub"]
@@ -391,13 +384,9 @@ class TestSbs:
         for _ in range(120):
             words = list(rng.choice(vocab, size=int(rng.integers(5, 12))))
             words.insert(int(rng.integers(0, len(words))), "planted")
-            seqs.append(words)
+            seqs.append(as_sequence(words))
         prev = prevalence(seqs)
-        from sbsflow.textproc import extract_cooccurrences
-
-        records = Counter()
-        for s in seqs:
-            records.update(extract_cooccurrences(s, 3))
+        records = sequence_cooccurrences(seqs, 3)
         graph = build_graph(records, extra_nodes=prev.keys())
         all_scores = sbs(graph, prev, list(graph.nodes))
         by_kw = {s.keyword: s.sbs for s in all_scores}
@@ -410,9 +399,17 @@ def test_write_edgelist(tmp_path):
     g = WordGraph({("a", "b"): 2, ("b", "c"): 1})
     path = tmp_path / "edges.csv"
     write_edgelist(g, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "word_a,word_b,weight"
-    assert lines[1] == "a,b,2.0"
+    assert path.read_bytes() == b"word_a,word_b,weight\na,b,2.0\nb,c,1.0\n"
+
+
+def test_write_edgelist_quotes_commas_and_quotes(tmp_path):
+    # a token holding a comma or a quote used to give a row of four cells
+    g = WordGraph({("a,b", 'c"d'): 2, ('c"d', "e"): 0.1})
+    path = tmp_path / "edges.csv"
+    write_edgelist(g, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["word_a", "word_b", "weight"], ["a,b", 'c"d', "2.0"], ['c"d', "e", "0.1"]]
 
 
 @pytest.mark.parametrize("build", [WordGraph, build_graph], ids=["WordGraph", "build_graph"])

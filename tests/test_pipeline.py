@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 import sbsflow
 from sbsflow import config, pipeline
 from sbsflow.cli import main as cli_main
-from sbsflow.keywords import compile_canonical_map, parse_registry
+from sbsflow.corpus import load_corpus
+from sbsflow.keywords import compile_canonical_map, fixture_path, parse_registry
+from sbsflow.network import build_graph, prevalence, sbs
 from sbsflow.pipeline import (
     MANIFEST_JSON,
     PLOT_CSV,
@@ -36,9 +38,9 @@ from sbsflow.pipeline import (
     score_window,
     validate_config,
 )
-from sbsflow.stemming import PorterStemmer
+from sbsflow.stemming import PorterStemmer, get_stemmer
 from sbsflow.synthetic import make_fixture
-from sbsflow.textproc import TextConfig
+from sbsflow.textproc import TextConfig, normalize_document, sequence_cooccurrences
 
 from conftest import score_fixture
 
@@ -502,6 +504,23 @@ def test_score_window_stems_each_distinct_token_once():
     assert counting.calls == Counter(dict.fromkeys(words, 2))
     plain = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"and"}))
     assert score_window(texts, 4, plain, ["market", "price"], min_edge_weight=1) == scores
+
+
+def test_score_window_is_the_hand_built_window(fixture):
+    # the tests that build windows by hand make the calls score_window makes
+    stemmer = get_stemmer("english")
+    stopwords = load_stopwords(fixture_path("stopwords_en.txt"))
+    sets = parse_registry(fixture.registry_path)
+    cfg = TextConfig(stemmer, stopwords, compile_canonical_map(sets, stemmer, stopwords))
+    texts = [doc.text() for doc in load_corpus(fixture.corpus_path)][:60]
+    keywords = [*sorted(s.label for s in sets), "ghost"]
+    seqs = [normalize_document(text, cfg) for text in texts]
+    prev = prevalence(seqs)
+    graph = build_graph(
+        sequence_cooccurrences(seqs, cfg.window_size), min_edge_weight=2, extra_nodes=prev.keys()
+    )
+    assert prev["interest_rate"] > 0  # the window collapses a phrase
+    assert score_window(texts, 0, cfg, keywords, min_edge_weight=2) == sbs(graph, prev, keywords)
 
 
 def test_serial_run_stems_each_distinct_token_once(fixture, tmp_path, monkeypatch):

@@ -71,6 +71,15 @@ class TestLoadMonthly:
             load_monthly(p)
         assert str(err.value) == f"{p}: row 3, column 'climate': non-numeric cell '100_5'"
 
+    @pytest.mark.parametrize("cell", ["20_17-01", "2017-0_2", "２０１７-03", "2017 - 04"])
+    def test_month_other_than_ascii_digits_fatal(self, tmp_path, cell):
+        # int alone reads "_" separators, padding and full-width digits
+        p = tmp_path / "m.csv"
+        p.write_text(f"month,climate\n{cell},1\n", encoding="utf-8")
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}: row 2: bad month {cell!r}"
+
     def test_padded_cells_accepted(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("month,climate\n2017-01, 101.5\n2017-02,102.25 \n")

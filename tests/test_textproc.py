@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import as_sequence
 from oracles import brute_force_pairs
 from sbsflow.keywords import KeywordSet, compile_canonical_map
 from sbsflow.stemming import NullStemmer, PorterStemmer
@@ -13,7 +14,6 @@ from sbsflow.textproc import (
     TextConfig,
     TokenSequence,
     _apply_phrases,
-    extract_cooccurrences,
     normalize,
     normalize_document,
     sequence_cooccurrences,
@@ -133,43 +133,48 @@ class TestNormalize:
         assert normalize(once, stop, stemmer, cm) == once
 
 
+def sentence_pairs(tokens, window_size):
+    """Pair counts of a window of one one-sentence document."""
+    return sequence_cooccurrences([as_sequence(tokens)], window_size)
+
+
 class TestExtractCooccurrences:
     def test_window_three_example(self):
-        got = extract_cooccurrences(["a", "b", "c", "d"], 3)
+        got = sentence_pairs(["a", "b", "c", "d"], 3)
         assert got == Counter(
             {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1, ("b", "d"): 1, ("c", "d"): 1}
         )
         assert ("a", "d") not in got
 
     def test_self_pairs_excluded(self):
-        assert extract_cooccurrences(["a", "a", "a"], 2) == Counter()
-        assert extract_cooccurrences(["a", "a", "a"], 5) == Counter()
+        assert sentence_pairs(["a", "a", "a"], 2) == Counter()
+        assert sentence_pairs(["a", "a", "a"], 5) == Counter()
 
     def test_repeated_pair_counted_per_position(self):
-        assert extract_cooccurrences(["x", "y", "x"], 2) == Counter({("x", "y"): 2})
+        assert sentence_pairs(["x", "y", "x"], 2) == Counter({("x", "y"): 2})
 
     def test_window_must_be_at_least_two(self):
         with pytest.raises(ValueError):
-            extract_cooccurrences(["a", "b"], 1)
+            sentence_pairs(["a", "b"], 1)
 
     @given(tokens_st, st.integers(min_value=2, max_value=6))
     def test_brute_force_oracle(self, tokens, window):
-        assert extract_cooccurrences(tokens, window) == brute_force_pairs(tokens, window)
+        assert sentence_pairs(tokens, window) == brute_force_pairs(tokens, window)
 
     @given(tokens_st, st.integers(min_value=2, max_value=6))
     def test_keys_canonically_ordered(self, tokens, window):
-        for a, b in extract_cooccurrences(tokens, window):
+        for a, b in sentence_pairs(tokens, window):
             assert a < b
 
     @given(tokens_st)
     def test_count_conservation_adjacent_pairs(self, tokens):
-        total = sum(extract_cooccurrences(tokens, 2).values())
+        total = sum(sentence_pairs(tokens, 2).values())
         adjacent_unequal = sum(1 for a, b in zip(tokens, tokens[1:]) if a != b)
         assert total == adjacent_unequal
 
     @given(tokens_st, st.integers(min_value=2, max_value=6))
     def test_determinism(self, tokens, window):
-        assert extract_cooccurrences(tokens, window) == extract_cooccurrences(tokens, window)
+        assert sentence_pairs(tokens, window) == sentence_pairs(tokens, window)
 
 
 # documents of sentences; empty and one-token sentences, repeats and accents
@@ -195,21 +200,20 @@ class TestWindowCooccurrences:
             assert a < b
             assert type(count) is int
 
-    @given(documents_st, st.integers(min_value=2, max_value=6))
-    def test_one_sequence_is_a_window_of_one(self, docs, window):
-        for seq in docs:
-            assert sequence_cooccurrences(seq, window) == sequence_cooccurrences([seq], window)
-
     def test_empty_window(self):
         assert sequence_cooccurrences([], 3) == Counter()
-        assert sequence_cooccurrences(TokenSequence(sentences=((), ("a",))), 3) == Counter()
+        assert sequence_cooccurrences([TokenSequence(sentences=((), ("a",)))], 3) == Counter()
 
 
 def _phrases_by_linear_scan(tokens, canonical):
     """Greedy longest-first phrase collapse trying every phrase at every token."""
+    phrases = sorted(
+        (entry for entries in canonical.phrase_starts.values() for entry in entries),
+        key=lambda entry: (-len(entry[0]), entry[0]),
+    )
     out, i = [], 0
     while i < len(tokens):
-        for words, label in canonical.phrases:
+        for words, label in phrases:
             if tuple(tokens[i : i + len(words)]) == words:
                 out.append(label)
                 i += len(words)
@@ -275,12 +279,10 @@ class TestNormalizeDocument:
         seq = normalize_document("alpha beta. gamma delta", cfg)
         assert seq.sentences == (("alpha", "beta"), ("gamma", "delta"))
         # co-occurrence never crosses the sentence boundary
-        from sbsflow.textproc import sequence_cooccurrences
-
-        pairs = sequence_cooccurrences(seq, 3)
+        pairs = sequence_cooccurrences([seq], 3)
         assert ("beta", "gamma") not in pairs
 
     def test_order_reflects_text_order(self):
         cfg = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"the"}))
         seq = normalize_document("The same principle, the same love of system", cfg)
-        assert seq.tokens == ["same", "principl", "same", "love", "of", "system"]
+        assert seq.sentences == (("same", "principl", "same", "love", "of", "system"),)

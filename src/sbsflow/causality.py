@@ -54,7 +54,6 @@ class RankDeficientError(ValueError):
 class RegressionFit:
     coefficients: np.ndarray
     rss: float
-    t_effective: int
     k: int
 
 
@@ -83,12 +82,7 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> RegressionFit:
     beta = np.empty(cols)
     beta[piv] = beta_piv
     resid = y - X @ beta
-    return RegressionFit(
-        coefficients=beta,
-        rss=float(resid @ resid),
-        t_effective=rows,
-        k=cols,
-    )
+    return RegressionFit(coefficients=beta, rss=float(resid @ resid), k=cols)
 
 
 def lag_design(y: np.ndarray, x: np.ndarray, p: int, trim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,37 +102,33 @@ def lag_design(y: np.ndarray, x: np.ndarray, p: int, trim: int) -> tuple[np.ndar
     return y[trim:], lags(y), lags(x)
 
 
-def _by_row(body, y, x, *args):
-    """Answer for each keyword row of ``x`` against the target ``y``.
+def _by_row(body, y, x, *args) -> list:
+    """Outcome for each keyword row of the ``(K, T)`` stack ``x`` against
+    the target ``y``: the row's answer, or its ``ValueError``.
 
-    ``x`` is one series or a ``(K, T)`` stack of them. ``body(y, xs, *args)``
-    gets the rows with finite values and returns one answer or exception per
-    row; what it raises (a check of ``y`` or of an argument) is every row's
-    exception. A stack gets the list of answers and exceptions; one series
-    gets its answer, or its exception raised.
+    ``body(y, xs, *args)`` gets the rows with finite values and returns one
+    answer or exception per row; what it raises (a check of ``y`` or of an
+    argument) is every row's exception.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    if y.ndim != 1 or x.ndim not in (1, 2):
-        raise ValueError("series must be 1-d; keyword series may be a (K, T) stack")
-    xs = np.atleast_2d(x)
-    if xs.shape[1] != len(y):
-        raise ValueError(f"series lengths differ: {len(y)} vs {xs.shape[1]}")
-    finite = np.isfinite(xs).all(axis=1) & np.isfinite(y).all()
+    if y.ndim != 1 or x.ndim != 2:
+        raise ValueError(
+            f"need a 1-d target and a (K, T) stack of keyword series, got shapes {y.shape} and {x.shape}"
+        )
+    if x.shape[1] != len(y):
+        raise ValueError(f"series lengths differ: {len(y)} vs {x.shape[1]}")
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all()
     outcomes: list = [None if ok else ValueError("series contain non-finite values") for ok in finite]
     live = np.flatnonzero(finite)
     if live.size:
         try:
-            answers = body(y, xs[live], *args)
+            answers = body(y, x[live], *args)
         except ValueError as exc:
             answers = [exc] * live.size
         for i, answer in zip(live, answers):
             outcomes[i] = answer
-    if x.ndim == 2:
-        return outcomes
-    if isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
+    return outcomes
 
 
 def _outcome(fn, *args):
@@ -160,13 +150,14 @@ _MIN_RSS_SHARE = 1e-10
 _R_TIE = 1e-9
 
 
-def select_lag_bic(y: np.ndarray, x: np.ndarray, p_max: int) -> int | list[int | ValueError]:
-    """Smallest-BIC lag order of the unrestricted bivariate model.
+def select_lag_bic(y: np.ndarray, x: np.ndarray, p_max: int) -> list[int | ValueError]:
+    """Smallest-BIC lag order of the unrestricted bivariate model, for each
+    row of the ``(K, T)`` stack ``x`` (its lag or its exception, see
+    ``_by_row``).
 
     All candidates p = 1..p_max are fit on the common sample trimmed at
     p_max, because BIC values are only comparable on identical samples.
-    Ties go to the smaller p. ``x`` may be a ``(K, T)`` stack of keyword
-    series; each row then gets its lag or its exception (see ``_by_row``).
+    Ties go to the smaller p.
 
     One unpivoted QR of ``[1, y_1, x_1, ..., y_pmax, x_pmax, resp]`` gives
     every candidate's RSS: the model at lag p is the first 1 + 2p columns,
@@ -174,8 +165,8 @@ def select_lag_bic(y: np.ndarray, x: np.ndarray, p_max: int) -> int | list[int |
     used only when it must equal the per-lag ``ols_fit`` refits: the full
     design is well clear of the rank tolerance (so, by interlacing, is every
     prefix), its RSS is not an exact fit, and no other lag's BIC lies within
-    rounding of the winner's. Any other row is refit lag by lag. A stack
-    makes one QR and one SVD call for all its rows.
+    rounding of the winner's. Any other row is refit lag by lag. One QR and
+    one SVD call serve all the rows.
     """
     return _by_row(_bic_lags, y, x, p_max)
 
@@ -329,16 +320,13 @@ def _beta_fraction(a: float, b: float, x: float) -> tuple[float, int] | None:
     return None
 
 
-def granger_test(
-    y: np.ndarray, x: np.ndarray, p: int
-) -> tuple[float, float] | list[tuple[float, float] | ValueError]:
-    """F test of the x lags in y_t ~ 1 + y_{t-1..t-p} + x_{t-1..t-p}.
+def granger_test(y: np.ndarray, x: np.ndarray, p: int) -> list[tuple[float, float] | ValueError]:
+    """F test of the x lags in y_t ~ 1 + y_{t-1..t-p} + x_{t-1..t-p}, for
+    each row of the ``(K, T)`` stack ``x`` at the one lag ``p``.
 
-    Returns (f_stat, p_value). The restricted model drops the x lags;
-    F = ((RSS_r - RSS_u)/p) / (RSS_u/(T_eff - 2p - 1)). ``x`` may be a
-    ``(K, T)`` stack of keyword series tested at the same lag; each row then
-    gets its result or its exception (see ``_by_row``), and the restricted
-    fit is made once for all of them.
+    Each row gets (f_stat, p_value) or its exception (see ``_by_row``). The
+    restricted model drops the x lags and is fit once for all the rows;
+    F = ((RSS_r - RSS_u)/p) / (RSS_u/(T_eff - 2p - 1)).
     """
     return _by_row(_f_tests, y, x, p)
 
@@ -381,16 +369,15 @@ class CrossCorrelation:
     r: float
 
 
-def cross_correlation_sign(
-    y: np.ndarray, x: np.ndarray, max_lag: int
-) -> CrossCorrelation | list[CrossCorrelation | ValueError]:
-    """Sign of the strongest Pearson correlation corr(x_{t-l}, y_t), l = 0..max_lag.
+def cross_correlation_sign(y: np.ndarray, x: np.ndarray, max_lag: int) -> list[CrossCorrelation | ValueError]:
+    """Sign of the strongest Pearson correlation corr(x_{t-l}, y_t), l = 0..max_lag,
+    for each row of the ``(K, T)`` stack ``x`` (its answer or its exception,
+    see ``_by_row``).
 
     Ties on |r| go to the smallest lag. Each r comes from centred products,
-    for every row of a ``(K, T)`` stack of keyword series at once (each row
-    then gets its answer or its exception, see ``_by_row``). Lags whose |r|
-    lies within rounding of the best are decided again with
-    ``np.corrcoef``, so ties resolve as that route resolves them.
+    for every row at once. Lags whose |r| lies within rounding of the best
+    are decided again with ``np.corrcoef``, so ties resolve as that route
+    resolves them.
     """
     return _by_row(_strongest_lags, y, x, max_lag)
 

@@ -78,9 +78,22 @@ class IngestReport:
         self.rejects.append((line_no, reason))
 
 
+# what a JSON Lines field holds when it is not a string, as JSON names it
+_JSON_KINDS = {bool: "a boolean", int: "a number", float: "a number", list: "an array", dict: "an object"}
+
+
 def _parse_record(
     raw: dict, line_no: int, cfg: IngestConfig, seen: set[str], report: IngestReport
 ) -> Document | None:
+    for name, kinds, wanted in (
+        (cfg.id_field, (str, int, float), "a string or a number"),
+        (cfg.title_field, str, "a string or null"),
+        (cfg.body_field, str, "a string or null"),
+    ):
+        value = raw.get(name)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+            report.reject(line_no, f"{name!r} must be {wanted}, got {_JSON_KINDS[type(value)]}")
+            return None
     raw_id = raw.get(cfg.id_field)
     doc_id = "" if raw_id is None else str(raw_id).strip()
     if not doc_id:
@@ -102,8 +115,8 @@ def _parse_record(
     return Document(
         id=doc_id,
         published_at=day,
-        title=str(raw.get(cfg.title_field) or ""),
-        body=str(raw.get(cfg.body_field) or ""),
+        title=raw.get(cfg.title_field) or "",
+        body=raw.get(cfg.body_field) or "",
     )
 
 
@@ -114,8 +127,10 @@ def load_corpus(
 ) -> Iterator[Document]:
     """Stream documents in file order; malformed records go to the report.
 
-    Records missing an id or date (or carrying a duplicate id) are rejected
-    individually with their line number; an unreadable file is fatal.
+    Records missing an id or date, carrying a duplicate id, or holding an
+    id that is neither a string nor a number or a title or body that is not
+    a string, are rejected individually with the line on which they start;
+    an unreadable file is fatal.
     """
     cfg = cfg or IngestConfig()
     report = report if report is not None else IngestReport()
@@ -144,10 +159,17 @@ def load_corpus(
                     report.loaded += 1
                     yield doc
         else:
-            reader = csv.DictReader(fh)
-            for raw in reader:
+            reader = csv.reader(fh)
+            fields = next(reader, [])
+            end = reader.line_num
+            for row in reader:
+                # a quoted field may span lines: a record starts on the line
+                # after the previous record's last one
+                start, end = end + 1, reader.line_num
+                if not row:  # a blank line
+                    continue
                 report.records += 1
-                doc = _parse_record(raw, reader.line_num, cfg, seen, report)
+                doc = _parse_record(dict(zip(fields, row)), start, cfg, seen, report)
                 if doc is not None:
                     report.loaded += 1
                     yield doc

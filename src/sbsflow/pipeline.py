@@ -15,6 +15,7 @@ import math
 import os
 import platform
 import time
+import unicodedata
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
@@ -76,10 +77,11 @@ class PipelineError(RuntimeError):
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One token per line; blank lines and '#' comments ignored."""
+    """One token per line, in NFC form as ``tokenize`` gives it; blank lines
+    and '#' comments ignored."""
     words = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip().lower()
+        line = unicodedata.normalize("NFC", line.strip()).lower()
         if line and not line.startswith("#"):
             words.add(line)
     return frozenset(words)

@@ -9,6 +9,7 @@ sentence or document boundary.
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -55,6 +56,8 @@ class TextConfig:
     def __post_init__(self) -> None:
         if self.window_size < 2:
             raise ValueError("window_size must be >= 2")
+        if self.min_token_len < 1:
+            raise ValueError("min_token_len must be >= 1")
 
 
 def split_sentences(text: str) -> list[str]:
@@ -63,9 +66,15 @@ def split_sentences(text: str) -> list[str]:
 
 
 def tokenize(text: str, min_len: int = 2) -> list[str]:
-    """Lowercased letter-run tokens; digits and punctuation are stripped."""
+    """Lowercased letter-run tokens; digits and punctuation are stripped.
+
+    The text is put in Unicode NFC form first, so a decomposed accent
+    (``a`` + U+0301) stays inside its word as the precomposed ``á`` does.
+    """
+    if min_len < 1:
+        raise ValueError("min_len must be >= 1")
     out = []
-    for run in _TOKEN_RE.findall(text):
+    for run in _TOKEN_RE.findall(unicodedata.normalize("NFC", text)):
         if run.isalpha():  # fast path; the regex class is slightly wider
             if len(run) >= min_len:
                 out.append(run.lower())

@@ -30,6 +30,15 @@ def as_sequence(tokens) -> TokenSequence:
     return TokenSequence(sentences=(tuple(tokens),))
 
 
+def one_row(fn, y, x, *args):
+    """``fn``'s outcome for the one keyword series ``x``, called as a
+    one-row stack: the row's answer, or its exception raised."""
+    (outcome,) = fn(y, [x], *args)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def score_fixture(fx, language="english", stopwords_path=None):
     """Score a synthetic fixture with ``score_window``, one call per window.
 

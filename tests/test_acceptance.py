@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import as_sequence, score_fixture
+from conftest import as_sequence, one_row, score_fixture
 from oracles import (
     betweenness_by_enumeration,
     natural_spline_eval,
@@ -174,7 +174,7 @@ def test_criterion_06_granger_size_and_power():
     rejections = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        _, p = granger_test(rng.normal(size=300), rng.normal(size=300), 1)
+        _, p = one_row(granger_test, rng.normal(size=300), rng.normal(size=300), 1)
         rejections += p < 0.05
     size = rejections / 200
     assert 0.01 <= size <= 0.12
@@ -187,7 +187,7 @@ def test_criterion_06_granger_size_and_power():
         y = np.zeros(300)
         for t in range(1, 300):
             y[t] = 0.5 * y[t - 1] + 0.8 * x[t - 1] + e[t]
-        _, p = granger_test(y, x, 1)
+        _, p = one_row(granger_test, y, x, 1)
         strong += p < 0.01
     elapsed = time.time() - t0
     assert strong >= 95
@@ -205,7 +205,7 @@ def test_criterion_07_bic_lag_recovery():
         y = np.zeros(T)
         for t in range(2, T):
             y[t] = 0.5 * y[t - 1] + 0.8 * x[t - 2] + e[t]
-        hits += select_lag_bic(y, x, 4) == 2
+        hits += one_row(select_lag_bic, y, x, 4) == 2
     assert hits >= 80
     _ok(7, f"BIC selected the planted lag 2 in {hits}/100 seeds")
 
@@ -334,11 +334,11 @@ def test_criterion_11_invariant_suite(rng):
     y = np.zeros(200)
     for t in range(1, 200):
         y[t] = 0.5 * y[t - 1] + 0.8 * x[t - 1] + e[t]
-    f0, p0 = granger_test(y, x, 1)
-    f1, p1 = granger_test(3.0 * y - 7.0, -2.0 * x + 5.0, 1)
+    f0, p0 = one_row(granger_test, y, x, 1)
+    f1, p1 = one_row(granger_test, 3.0 * y - 7.0, -2.0 * x + 5.0, 1)
     assert abs(f1 - f0) <= 1e-8 * max(1.0, abs(f0))
     assert abs(p1 - p0) <= 1e-8
-    assert cross_correlation_sign(y, -x, 4).sign != cross_correlation_sign(y, x, 4).sign
+    assert one_row(cross_correlation_sign, y, -x, 4).sign != one_row(cross_correlation_sign, y, x, 4).sign
 
     # shortest-path sets invariant under positive weight scaling
     n, weights = random_weighted_graph(np.random.default_rng(5), n_max=8)

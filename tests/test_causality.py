@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_row
 from oracles import cross_correlation_reference, normal_equations_ols, select_lag_bic_reference
 from sbsflow import causality
 from sbsflow.causality import (
@@ -73,13 +74,13 @@ class TestOlsFit:
 class TestSelectLagBic:
     def test_single_candidate(self, rng):
         y, x = rng.normal(size=100), rng.normal(size=100)
-        assert select_lag_bic(y, x, 1) == 1
+        assert one_row(select_lag_bic, y, x, 1) == 1
 
     def test_white_noise_prefers_one_lag(self):
         ones = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
-            ones += select_lag_bic(rng.normal(size=500), rng.normal(size=500), 4) == 1
+            ones += one_row(select_lag_bic, rng.normal(size=500), rng.normal(size=500), 4) == 1
         assert ones > 20  # parsimony in the majority of seeds
 
     def test_recovers_planted_lag_two(self):
@@ -87,24 +88,24 @@ class TestSelectLagBic:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             y, x = ar_with_cross(rng, 500, lag=2)
-            hits += select_lag_bic(y, x, 4) == 2
+            hits += one_row(select_lag_bic, y, x, 4) == 2
         assert hits >= 32  # >= 80%
 
     def test_too_short_series_errors(self, rng):
         y, x = rng.normal(size=10), rng.normal(size=10)
         with pytest.raises(ValueError):
-            select_lag_bic(y, x, 8)
+            one_row(select_lag_bic, y, x, 8)
 
     @pytest.mark.parametrize("T", range(18, 26))
     def test_too_short_for_the_trimmed_fits_refused_up_front(self, rng, T):
         # 8 lags leave T - 8 rows for a 17-column design: T must exceed 25
         y, x = rng.normal(size=T), rng.normal(size=T)
         with pytest.raises(ValueError) as err:
-            select_lag_bic(y, x, 8)
+            one_row(select_lag_bic, y, x, 8)
         assert str(err.value) == f"series too short: T={T} needs T > 25 for p_max=8"
 
     def test_shortest_accepted_length(self, rng):
-        assert 1 <= select_lag_bic(rng.normal(size=26), rng.normal(size=26), 8) <= 8
+        assert 1 <= one_row(select_lag_bic, rng.normal(size=26), rng.normal(size=26), 8) <= 8
 
 
 class TestFUpperTail:
@@ -198,7 +199,7 @@ class TestGrangerTest:
         rejections = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            _, p = granger_test(rng.normal(size=300), rng.normal(size=300), 1)
+            _, p = one_row(granger_test, rng.normal(size=300), rng.normal(size=300), 1)
             rejections += p < 0.05
         assert 0.01 <= rejections / 100 <= 0.12
 
@@ -207,7 +208,7 @@ class TestGrangerTest:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             y, x = ar_with_cross(rng, 300)
-            _, p = granger_test(y, x, 1)
+            _, p = one_row(granger_test, y, x, 1)
             strong += p < 0.01
         assert strong >= 38  # >= 95%
 
@@ -216,22 +217,22 @@ class TestGrangerTest:
         y = np.roll(x, 1)
         y[0] = 0.0
         with pytest.raises(DegenerateSeriesError):
-            granger_test(y, x, 1)
+            one_row(granger_test, y, x, 1)
 
     def test_constant_series_error(self, rng):
         y = np.ones(100)
         x = rng.normal(size=100)
         with pytest.raises(DegenerateSeriesError):
-            granger_test(y, x, 2)
+            one_row(granger_test, y, x, 2)
         with pytest.raises(DegenerateSeriesError):
-            granger_test(x, y, 2)
+            one_row(granger_test, x, y, 2)
 
     def test_f_nonnegative_and_p_monotone(self, rng):
         stats = []
         for _ in range(30):
             y = rng.normal(size=150)
             x = rng.normal(size=150)
-            f, p = granger_test(y, x, 2)
+            f, p = one_row(granger_test, y, x, 2)
             assert f >= 0.0
             assert 0.0 <= p <= 1.0
             stats.append((f, p))
@@ -242,29 +243,29 @@ class TestGrangerTest:
 
     def test_scale_invariance_of_f_and_sign_flip(self, rng):
         y, x = ar_with_cross(rng, 200)
-        f0, p0 = granger_test(y, x, 1)
+        f0, p0 = one_row(granger_test, y, x, 1)
         for a, b in [(3.0, -2.0), (-0.5, 10.0), (100.0, 0.0)]:
-            f1, p1 = granger_test(a * y + b, x, 1)
-            f2, p2 = granger_test(y, a * x + b, 1)
+            f1, p1 = one_row(granger_test, a * y + b, x, 1)
+            f2, p2 = one_row(granger_test, y, a * x + b, 1)
             assert f1 == pytest.approx(f0, rel=1e-8, abs=1e-8)
             assert f2 == pytest.approx(f0, rel=1e-8, abs=1e-8)
             assert p1 == pytest.approx(p0, rel=1e-6, abs=1e-8)
-        cc0 = cross_correlation_sign(y, x, 4)
-        assert cross_correlation_sign(y, 2.0 * x + 1.0, 4).sign == cc0.sign
-        flipped = cross_correlation_sign(y, -2.0 * x + 1.0, 4)
+        cc0 = one_row(cross_correlation_sign, y, x, 4)
+        assert one_row(cross_correlation_sign, y, 2.0 * x + 1.0, 4).sign == cc0.sign
+        flipped = one_row(cross_correlation_sign, y, -2.0 * x + 1.0, 4)
         assert flipped.sign != cc0.sign
 
 
 class TestCrossCorrelation:
     def test_identity(self, rng):
         x = rng.normal(size=100)
-        cc = cross_correlation_sign(x, x, 5)
+        cc = one_row(cross_correlation_sign, x, x, 5)
         assert (cc.sign, cc.lag) == ("+", 0)
         assert cc.r == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_flip(self, rng):
         x = rng.normal(size=100)
-        cc = cross_correlation_sign(-x, x, 5)
+        cc = one_row(cross_correlation_sign, -x, x, 5)
         assert (cc.sign, cc.lag) == ("-", 0)
         assert cc.r == pytest.approx(-1.0, abs=1e-12)
 
@@ -273,7 +274,7 @@ class TestCrossCorrelation:
         noise = 0.05 * rng.normal(size=400)
         y = np.roll(x, 3) + noise
         y[:3] = rng.normal(size=3)
-        cc = cross_correlation_sign(y, x, 8)
+        cc = one_row(cross_correlation_sign, y, x, 8)
         assert (cc.sign, cc.lag) == ("+", 3)
         # oracle: direct correlation per lag
         direct = [
@@ -284,7 +285,7 @@ class TestCrossCorrelation:
 
     def test_constant_series_error(self, rng):
         with pytest.raises(DegenerateSeriesError):
-            cross_correlation_sign(np.ones(50), rng.normal(size=50), 4)
+            one_row(cross_correlation_sign, np.ones(50), rng.normal(size=50), 4)
 
     def test_constant_slices_skipped_though_centring_leaves_residue(self, rng):
         # x[:T-lag] is constant 0.1 for every lag >= 1, but 0.1 minus its
@@ -294,13 +295,13 @@ class TestCrossCorrelation:
         x[-1] = 0.2
         y = 1e8 + np.round(4.0 * rng.normal(size=T))
         y[-1] = y[:-1].mean()
-        cc = cross_correlation_sign(y, x, 8)
+        cc = one_row(cross_correlation_sign, y, x, 8)
         assert (cc.sign, cc.lag) == cross_correlation_reference(y, x, 8)[:2]
         assert cc.lag == 0
 
     def test_max_lag_bound(self, rng):
         with pytest.raises(ValueError):
-            cross_correlation_sign(rng.normal(size=40), rng.normal(size=40), 10)
+            one_row(cross_correlation_sign, rng.normal(size=40), rng.normal(size=40), 10)
 
 
 class TestStars:
@@ -448,7 +449,7 @@ class TestFastPathsMatchReference:
                 causality, "_select_lag_by_refits", wraps=causality._select_lag_by_refits
             )
             with refits as spy:
-                got = _outcome(select_lag_bic, y, x, p_max)
+                got = _outcome(one_row, select_lag_bic, y, x, p_max)
             routes["refit" if spy.called else "qr"] += 1
             assert got == _outcome(select_lag_bic_reference, y, x, p_max)
 
@@ -466,7 +467,7 @@ class TestFastPathsMatchReference:
                 causality, "_strongest_by_corrcoef", wraps=causality._strongest_by_corrcoef
             )
             with corrcoef as spy:
-                got = _outcome(cross_correlation_sign, y, x, max_lag)
+                got = _outcome(one_row, cross_correlation_sign, y, x, max_lag)
             routes["corrcoef" if spy.called else "dot"] += 1
             want = _outcome(cross_correlation_reference, y, x, max_lag)
             if isinstance(got, CrossCorrelation):
@@ -480,11 +481,11 @@ class TestFastPathsMatchReference:
 
 
 def _pair_result(keyword, target, y, x, p_max):
-    """One pair through the 1-d public functions, as a ``GrangerResult`` tuple."""
+    """One pair through one-row stacks, as a ``GrangerResult`` tuple."""
     try:
-        p = select_lag_bic(y, x, p_max)
-        f_stat, p_value = granger_test(y, x, p)
-        cc = cross_correlation_sign(y, x, p_max)
+        p = one_row(select_lag_bic, y, x, p_max)
+        f_stat, p_value = one_row(granger_test, y, x, p)
+        cc = one_row(cross_correlation_sign, y, x, p_max)
     except ValueError as exc:
         return (keyword, target, None, None, None, "", "", str(exc))
     return (keyword, target, p, f_stat, p_value, assign_stars(p_value), cc.sign, "ok")
@@ -529,11 +530,12 @@ class TestSharedRestrictedFit:
             counts.append(ols.call_count)
         assert counts[0] == counts[1]
 
-    def test_one_series_makes_its_own_restricted_fit(self, rng):
+    def test_each_call_makes_its_own_restricted_fit(self, rng):
+        # no restricted fit outlives the call that made it
         y, x = ar_with_cross(rng, 120)
         with mock.patch.object(causality, "ols_fit", wraps=causality.ols_fit) as ols:
-            granger_test(y, x, 2)
-            granger_test(y, x, 2)
+            one_row(granger_test, y, x, 2)
+            one_row(granger_test, y, x, 2)
         assert ols.call_count == 4
 
 
@@ -564,10 +566,11 @@ def _row_outcomes(outcomes):
 
 
 class TestStackedCalls:
-    """A (K, T) stack of keyword series gives, row by row, the answer of the
-    1-d call, or the same exception type and message."""
+    """A (K, T) stack of keyword series gives, row by row, the outcome of
+    the row's own one-row stack: the same answer, or the same exception type
+    and message, whatever rows stand around it."""
 
-    def test_rows_equal_one_series_calls(self):
+    def test_rows_equal_their_one_row_stacks(self):
         @settings(max_examples=150)
         @given(_series_pairs(), st.randoms(use_true_random=False))
         def check(case, shuffle):
@@ -578,7 +581,7 @@ class TestStackedCalls:
             for fn in (select_lag_bic, granger_test, cross_correlation_sign):
                 stacked = fn(y, stack, p_max)
                 assert isinstance(stacked, list) and len(stacked) == len(rows)
-                assert _row_outcomes(stacked) == [_outcome(fn, y, row, p_max) for row in rows]
+                assert _row_outcomes(stacked) == [_outcome(one_row, fn, y, row, p_max) for row in rows]
 
         check()
 
@@ -597,8 +600,14 @@ class TestStackedCalls:
     def test_shapes_refused_for_the_whole_call(self, rng):
         with pytest.raises(ValueError, match="series lengths differ: 60 vs 50"):
             granger_test(rng.normal(size=60), rng.normal(size=(3, 50)), 2)
-        with pytest.raises(ValueError, match="series must be 1-d"):
+        with pytest.raises(ValueError, match=r"\(K, T\) stack .* got shapes \(60,\) and \(2, 3, 60\)"):
             cross_correlation_sign(rng.normal(size=60), rng.normal(size=(2, 3, 60)), 4)
+        with pytest.raises(ValueError, match=r"\(K, T\) stack .* got shapes \(60, 1\) and \(1, 60\)"):
+            granger_test(rng.normal(size=(60, 1)), rng.normal(size=(1, 60)), 2)
+        # one keyword series is the one-row stack [x], not a bare x
+        for fn in (select_lag_bic, granger_test, cross_correlation_sign):
+            with pytest.raises(ValueError, match=r"\(K, T\) stack .* got shapes \(60,\) and \(60,\)"):
+                fn(rng.normal(size=60), rng.normal(size=60), 4)
 
 
 class TestExtremeScales:
@@ -610,7 +619,7 @@ class TestExtremeScales:
         y, x = ar_with_cross(rng, 120)
         refits = mock.patch.object(causality, "_select_lag_by_refits", wraps=causality._select_lag_by_refits)
         with refits as spy:
-            got = _outcome(select_lag_bic, y, x * scale, 4)
+            got = _outcome(one_row, select_lag_bic, y, x * scale, 4)
         assert spy.called
         assert got == _outcome(select_lag_bic_reference, y, x * scale, 4)
 
@@ -618,7 +627,7 @@ class TestExtremeScales:
     def test_cross_correlation_sign_silent_in_corrcoef(self, rng, scale):
         y, x = ar_with_cross(rng, 120)
         y = y * min(scale, 1.0)  # 1e-200 on both sides underflows every product
-        got = _outcome(cross_correlation_sign, y, x * scale, 4)
+        got = _outcome(one_row, cross_correlation_sign, y, x * scale, 4)
         with np.errstate(all="ignore"):
             want = _outcome(cross_correlation_reference, y, x * scale, 4)
         if isinstance(got, CrossCorrelation):
@@ -630,9 +639,9 @@ class TestExtremeScales:
     def test_cross_correlation_refuses_overflowing_products(self, rng, scale):
         # np.corrcoef returns r = ±0 when its variances overflow
         y, x = ar_with_cross(rng, 120)
-        assert cross_correlation_sign(y, x, 4).lag == 1
+        assert one_row(cross_correlation_sign, y, x, 4).lag == 1
         with pytest.raises(DegenerateSeriesError, match="no lag produced a finite correlation"):
-            cross_correlation_sign(y, scale * x, 4)
+            one_row(cross_correlation_sign, y, scale * x, 4)
 
     def test_battery_reports_a_keyword_whose_rank_tolerance_overflows(self, rng):
         y, x = ar_with_cross(rng, 120)
@@ -646,7 +655,7 @@ class TestExtremeScales:
         y, x = ar_with_cross(rng, 120)
         huge = 1.5e308 * np.sign(x)
         lags = select_lag_bic(y, np.stack([x, huge]), 4)
-        assert lags[0] == select_lag_bic(y, x, 4)
+        assert lags[0] == one_row(select_lag_bic, y, x, 4)
         assert _row_outcomes(lags[1:]) == [_outcome(select_lag_bic_reference, y, huge, 4)]
 
     def test_battery_reports_every_pair(self, rng):

@@ -133,6 +133,55 @@ class TestLoadCorpus:
         assert [d.id for d in docs] == ["a", "c"]
         assert sorted(line for line, _ in report.rejects) == [3, 4]
 
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"title": ["x", "y"], "body": {"k": "v"}}, "'title' must be a string or null, got an array"),
+            ({"title": True, "body": 12.5}, "'title' must be a string or null, got a boolean"),
+            ({"title": 7}, "'title' must be a string or null, got a number"),
+            ({"body": 12.5}, "'body' must be a string or null, got a number"),
+            ({"body": {"k": "v"}}, "'body' must be a string or null, got an object"),
+            ({"id": True}, "'id' must be a string or a number, got a boolean"),
+            ({"id": ["d1"]}, "'id' must be a string or a number, got an array"),
+            ({"id": {"n": 1}}, "'id' must be a string or a number, got an object"),
+        ],
+        ids=["title_array", "title_bool", "title_number", "body_number", "body_object",
+             "id_bool", "id_array", "id_object"],
+    )
+    def test_field_of_the_wrong_json_type_rejected(self, tmp_path, fields, reason):
+        # such a field used to be analysed as its Python repr, e.g. "['x', 'y']. {'k': 'v'}"
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [make_record(0, "2020-01-01"), make_record(1, "2020-01-01", **fields)])
+        report = IngestReport()
+        assert [d.id for d in load_corpus(p, report=report)] == ["d0"]
+        assert report.rejects == [(2, reason)]
+
+    def test_numeric_id_and_null_text_fields_kept(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_jsonl(
+            p, [make_record(0, "2020-01-01", id=7, title=None), make_record(1, "2020-01-01", id=2.5, body=None)]
+        )
+        report = IngestReport()
+        docs = list(load_corpus(p, report=report))
+        assert [(d.id, d.title, d.body) for d in docs] == [("7", "", "b0"), ("2.5", "t1", "")]
+        assert report.rejects == []
+
+    def test_csv_record_rejected_at_the_line_where_it_starts(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text(
+            "id,date,title,body\n"
+            ',2020-01-01,T,"first\nsecond\nthird"\n'  # lines 2-4, no id
+            "\n"  # line 5, blank
+            ",2020-01-02,T,Body\n"  # line 6, no id
+            'a,2020-01-03,T,"two\nlines"\n'  # lines 7-8
+            "b,bad-date,T,Body\n"  # line 9
+        )
+        report = IngestReport()
+        docs = list(load_corpus(p, IngestConfig(format="csv"), report))
+        assert [(d.id, d.body) for d in docs] == [("a", "two\nlines")]
+        assert [line for line, _ in report.rejects] == [2, 6, 9]
+        assert report.records == 4
+
     def test_custom_date_format(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [make_record(1, "01/02/2020")])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
 
 from sbsflow.keywords import (
@@ -95,6 +97,16 @@ class TestCompileCanonicalMap:
             stopwords=frozenset({"of"}),
         )
         assert cm.phrase_starts == {"bank": ((("bank", "italy"), "bank_of_italy"),)}
+
+    def test_decomposed_member_compiles_to_the_same_map(self):
+        # NFD members used to tokenize as "citta" and ("perche", "no")
+        sets = [KeywordSet("citta", ("città", "perché no")), KeywordSet("sagg", ("saggio",))]
+        decomposed = [
+            KeywordSet(ks.label, tuple(unicodedata.normalize("NFD", m) for m in ks.members)) for ks in sets
+        ]
+        assert decomposed != sets
+        stemmer = get_stemmer("italian")
+        assert compile_canonical_map(decomposed, stemmer) == compile_canonical_map(sets, stemmer)
 
     def test_canonicalization_is_a_function(self):
         sets = parse_registry(fixture_path("keywords_full.yaml"))

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import unicodedata
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from datetime import timedelta
@@ -504,6 +505,24 @@ def test_score_window_stems_each_distinct_token_once():
     assert counting.calls == Counter(dict.fromkeys(words, 2))
     plain = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"and"}))
     assert score_window(texts, 4, plain, ["market", "price"], min_edge_weight=1) == scores
+
+
+def test_nfc_and_nfd_spellings_score_alike(tmp_path):
+    # decomposed accents used to split "città" into the node "citta"
+    texts = [
+        "La città di Roma è più sággia. Perché la città cresce?",
+        "Il sággio parla della città e di Roma perché è bella.",
+    ]
+    stopwords_file = tmp_path / "stop.txt"
+    stopwords_file.write_text(unicodedata.normalize("NFD", "la\nil\nè\ndi\ne\nperché\n"), encoding="utf-8")
+    stopwords = load_stopwords(stopwords_file)
+    assert {"è", "perché"} <= stopwords
+    cfg = TextConfig(stemmer=get_stemmer("none"), stopwords=stopwords)
+    keywords = ["città", "roma", "sággio"]
+    nfc = score_window(texts, 0, cfg, keywords, min_edge_weight=1)
+    nfd = score_window([unicodedata.normalize("NFD", t) for t in texts], 0, cfg, keywords, min_edge_weight=1)
+    assert nfd == nfc
+    assert [s.prevalence_raw for s in nfc] == [3, 2, 1]
 
 
 def test_score_window_is_the_hand_built_window(fixture):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -44,6 +45,19 @@ class TestTokenize:
     def test_accents_preserved(self):
         assert tokenize("perché l'economia") == ["perché", "economia"]
 
+    @pytest.mark.parametrize("word", ["sággio", "città", "perché"])
+    def test_decomposed_accents_stay_in_their_word(self, word):
+        # a combining accent is not a letter: unnormalized, "sa\u0301ggio" split as ['sa', 'ggio']
+        decomposed = unicodedata.normalize("NFD", word)
+        assert decomposed != word
+        assert tokenize(f"il {decomposed}!") == tokenize(f"il {word}!") == ["il", word]
+
+    @pytest.mark.parametrize("min_len", [0, -1])
+    def test_min_len_below_one_refused(self, min_len):
+        # min_len=0 kept the empty runs around "²" and "½": ['', 'ab', 'x', '']
+        with pytest.raises(ValueError, match="min_len must be >= 1"):
+            tokenize("²ab x½", min_len)
+
     def test_single_letter_tokens_dropped_by_default(self):
         assert tokenize("l'arte e il mare") == ["arte", "il", "mare"]
         assert tokenize("l'arte e il mare", min_len=1) == ["l", "arte", "e", "il", "mare"]
@@ -52,7 +66,7 @@ class TestTokenize:
     def test_character_class_oracle(self, text):
         # oracle: scan characters directly instead of the regex
         expected, current = [], []
-        for ch in text:
+        for ch in unicodedata.normalize("NFC", text):
             if ch.isalpha() and ch != "_":
                 current.append(ch.lower())
             else:
@@ -286,3 +300,11 @@ class TestNormalizeDocument:
         cfg = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"the"}))
         seq = normalize_document("The same principle, the same love of system", cfg)
         assert seq.sentences == (("same", "principl", "same", "love", "of", "system"),)
+
+
+class TestTextConfig:
+    @pytest.mark.parametrize("min_token_len", [0, -2])
+    def test_min_token_len_below_one_refused(self, min_token_len):
+        # an empty token would become a graph node
+        with pytest.raises(ValueError, match="min_token_len must be >= 1"):
+            TextConfig(stemmer=NullStemmer(), min_token_len=min_token_len)

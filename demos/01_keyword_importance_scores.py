@@ -12,6 +12,7 @@ window.
 from sbsflow import (
     TextConfig,
     build_graph,
+    compile_canonical_map,
     connectivity,
     normalize_document,
     prevalence,
@@ -28,11 +29,13 @@ SENTENCE = (
     "those institutions which tend to promote the public welfare."
 )
 
-cfg = TextConfig(
-    stemmer=NullStemmer(),  # keep readable node labels
+# an empty keyword registry: every word is its own node
+canonical = compile_canonical_map(
+    [],
+    NullStemmer(),  # keep readable node labels
     stopwords=frozenset({"the", "of", "to", "and", "which", "those"}),
-    window_size=3,
 )
+cfg = TextConfig(canonical, window_size=3)
 
 # a window of one document
 window = [normalize_document(SENTENCE, cfg)]

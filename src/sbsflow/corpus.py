@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -95,6 +96,10 @@ def _parse_record(
             report.reject(line_no, f"{name!r} must be {wanted}, got {_JSON_KINDS[type(value)]}")
             return None
     raw_id = raw.get(cfg.id_field)
+    # json.loads reads NaN, Infinity and an overflowing 1e400 as floats
+    if isinstance(raw_id, float) and not math.isfinite(raw_id):
+        report.reject(line_no, f"{cfg.id_field!r} must be a finite number, got {raw_id!r}")
+        return None
     doc_id = "" if raw_id is None else str(raw_id).strip()
     if not doc_id:
         report.reject(line_no, f"missing or empty {cfg.id_field!r}")
@@ -128,9 +133,9 @@ def load_corpus(
     """Stream documents in file order; malformed records go to the report.
 
     Records missing an id or date, carrying a duplicate id, or holding an
-    id that is neither a string nor a number or a title or body that is not
-    a string, are rejected individually with the line on which they start;
-    an unreadable file is fatal.
+    id that is neither a string nor a finite number or a title or body that
+    is not a string, are rejected individually with the line on which they
+    start; an unreadable file is fatal.
     """
     cfg = cfg or IngestConfig()
     report = report if report is not None else IngestReport()

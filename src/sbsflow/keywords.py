@@ -15,7 +15,8 @@ before stemming, so "interest rate" never decays into interest + rate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import unicodedata
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -54,17 +55,29 @@ class KeywordSet:
 
 @dataclass(frozen=True)
 class CanonicalMap:
-    """Compiled lookup structures used by text normalization.
+    """How a token becomes a graph node, with the stemmer and stop-words
+    the keywords were compiled with.
 
-    ``stem_map`` maps post-stem surface forms to labels; ``phrase_starts``
-    maps the first word of each tokenized multi-word member to its
-    ``(words, label)`` entries, longest first; ``labels`` lets normalized
-    labels pass through later stages untouched.
+    ``phrase_starts`` maps the first word of each tokenized multi-word
+    member to its ``(words, label)`` entries, longest first; ``stem_map``
+    maps post-stem surface forms to labels, each label to itself.
     """
 
     stem_map: dict[str, str]
     phrase_starts: dict[str, tuple[tuple[tuple[str, ...], str], ...]]
     labels: frozenset[str]
+    stemmer: Stemmer
+    stopwords: frozenset[str]
+    _nodes: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def node(self, token: str) -> str:
+        """A label passes through; any other token becomes its stem's label
+        or its stem. Memoized, so each distinct token is stemmed once per map."""
+        node = self._nodes.get(token)
+        if node is None:
+            stem = token if token in self.labels else self.stemmer.stem(token)
+            node = self._nodes[token] = self.stem_map.get(stem, stem)
+        return node
 
 
 def fixture_path(name: str) -> Path:
@@ -86,7 +99,8 @@ def parse_registry(path: str | Path) -> list[KeywordSet]:
     for pos, block in enumerate(data):
         if not isinstance(block, dict) or "label" not in block:
             raise RegistryError(f"{path}: block {pos} has no 'label'")
-        label = str(block["label"])
+        # in NFC form, as tokenize puts text, so an accent has one spelling
+        label = unicodedata.normalize("NFC", str(block["label"]))
         if not _LABEL_RE.fullmatch(label):
             raise RegistryError(
                 f"{path}: block {pos}: label {label!r} must be lowercase "
@@ -102,7 +116,7 @@ def parse_registry(path: str | Path) -> list[KeywordSet]:
             raise RegistryError(f"{path}: block {pos} ({label}): members must be a non-empty list")
         cleaned = []
         for m in members:
-            m = str(m).strip().lower()
+            m = unicodedata.normalize("NFC", str(m)).strip().lower()
             if not m:
                 raise RegistryError(f"{path}: block {pos} ({label}): empty member")
             if m in member_at:
@@ -122,14 +136,15 @@ def compile_canonical_map(
     stemmer: Stemmer,
     stopwords: frozenset[str] | set[str] = frozenset(),
 ) -> CanonicalMap:
-    """Build the stem map and phrase table; stem collisions across labels are fatal.
+    """Build the stem map and phrase table; a stem or a phrase claimed by
+    two labels is fatal.
 
     Phrase tokens are filtered through ``stopwords`` so multi-word members
     like "bank of italy" still match the stop-word-stripped token stream.
     """
     stem_map: dict[str, str] = {}
     stem_source: dict[str, str] = {}
-    phrases: list[tuple[tuple[str, ...], str]] = []
+    phrase_source: dict[tuple[str, ...], tuple[str, str]] = {}
     labels = frozenset(s.label for s in sets)
     for ks in sets:
         for member in ks.members:
@@ -137,7 +152,12 @@ def compile_canonical_map(
             if not words:
                 raise RegistryError(f"member {member!r} of {ks.label!r} has no tokens")
             if len(words) > 1:
-                phrases.append((words, ks.label))
+                source, label = phrase_source.setdefault(words, (member, ks.label))
+                if label != ks.label:
+                    raise RegistryError(
+                        f"phrase collision: {member!r} ({ks.label}) and "
+                        f"{source!r} ({label}) are both the words {' '.join(words)!r}"
+                    )
                 continue
             stem = stemmer.stem(words[0])
             if stem in stem_map and stem_map[stem] != ks.label:
@@ -154,12 +174,13 @@ def compile_canonical_map(
                 f"{stem_source[ks.label]!r} ({stem_map[ks.label]})"
             )
         stem_map.setdefault(ks.label, ks.label)
-    phrases.sort(key=lambda e: (-len(e[0]), e[0]))
     phrase_starts: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-    for entry in phrases:
-        phrase_starts.setdefault(entry[0][0], []).append(entry)
+    for words, (_, label) in sorted(phrase_source.items(), key=lambda e: (-len(e[0]), e[0])):
+        phrase_starts.setdefault(words[0], []).append((words, label))
     return CanonicalMap(
         stem_map=stem_map,
         phrase_starts={word: tuple(entries) for word, entries in phrase_starts.items()},
         labels=labels,
+        stemmer=stemmer,
+        stopwords=frozenset(stopwords),
     )

@@ -18,7 +18,6 @@ import time
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -38,7 +37,7 @@ from .corpus import (
 )
 from .keywords import compile_canonical_map, parse_registry
 from .series import WeeklySeries
-from .stemming import Stemmer, get_stemmer
+from .stemming import get_stemmer
 
 if TYPE_CHECKING:
     from .network import SbsScore
@@ -92,22 +91,6 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-class _StemMemo:
-    """A token -> stem dict in front of a stemmer: each distinct token is
-    stemmed once, by the wrapped stemmer's ``stem``, for as long as the memo
-    lives."""
-
-    def __init__(self, stemmer: Stemmer):
-        self._stemmer = stemmer
-        self._stems: dict[str, str] = {}
-
-    def stem(self, word: str) -> str:
-        stem = self._stems.get(word)
-        if stem is None:
-            stem = self._stems[word] = self._stemmer.stem(word)
-        return stem
-
-
 def score_window(
     texts: list[str],
     window_index: int,
@@ -118,14 +101,12 @@ def score_window(
 ) -> list[SbsScore]:
     """Score ``keywords`` on the texts of one window's documents.
 
-    A pure function of its arguments, so windows can be scored in any
-    process and order. Each distinct token is stemmed once: a stemmer that
-    is not yet a ``_StemMemo`` is wrapped in one for this call.
+    The scores depend on the arguments alone, so windows can be scored in
+    any process and order; the token memo of ``text_cfg.canonical`` only
+    saves work, across every call that shares the map.
     """
     from . import network
 
-    if not isinstance(text_cfg.stemmer, _StemMemo):
-        text_cfg = replace(text_cfg, stemmer=_StemMemo(text_cfg.stemmer))
     sequences = [textproc.normalize_document(text, text_cfg) for text in texts]
     prev = network.prevalence(sequences)
     records = textproc.sequence_cooccurrences(sequences, text_cfg.window_size)
@@ -138,8 +119,8 @@ def score_window(
     return network.sbs(graph, prev, keywords)
 
 
-# a pool worker's scoring function, with the worker's own stem memo; set once
-# per process by the pool's initializer
+# a pool worker's scoring function, with the worker's own copy of the
+# canonical map and its token memo; set once per process by the pool's initializer
 _worker_score = None
 
 
@@ -162,15 +143,15 @@ def _score_windows(
 ) -> list[list[SbsScore]]:
     """Each window's scores, in window order.
 
-    One stem memo serves the whole run. With ``workers`` > 1 the pool hands
-    out one window per task to whichever worker is free, and each worker
-    process keeps one copy of the memo for all the windows it scores.
+    The canonical map's token memo serves the whole run. With ``workers``
+    > 1 the pool hands out one window per task to whichever worker is free,
+    and each worker process keeps one copy of the map for all its windows.
     """
     indices = [w.index for w in windows]
     texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
     score = partial(
         score_window,
-        text_cfg=replace(text_cfg, stemmer=_StemMemo(text_cfg.stemmer)),
+        text_cfg=text_cfg,
         keywords=keywords,
         min_edge_weight=cfg.min_edge_weight,
     )
@@ -333,12 +314,9 @@ def run_pipeline(
             stopwords = load_stopwords(cfg.stopwords_path)
             stemmer = get_stemmer(cfg.language)
             sets = parse_registry(cfg.registry_path)
-            canonical = compile_canonical_map(sets, stemmer, stopwords)
             keywords = sorted(s.label for s in sets)
             text_cfg = textproc.TextConfig(
-                stemmer=stemmer,
-                stopwords=stopwords,
-                canonical=canonical,
+                canonical=compile_canonical_map(sets, stemmer, stopwords),
                 window_size=cfg.window_size,
                 min_token_len=cfg.min_token_len,
             )

@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .stemming import Stemmer
-
 if TYPE_CHECKING:  # pragma: no cover
     from .keywords import CanonicalMap
 
@@ -45,11 +43,10 @@ class TokenSequence:
 
 @dataclass
 class TextConfig:
-    """Knobs for the document-to-tokens stage."""
+    """Knobs for the document-to-tokens stage; ``canonical`` carries the
+    stemmer and stop-words."""
 
-    stemmer: Stemmer
-    stopwords: frozenset[str] = frozenset()
-    canonical: "CanonicalMap | None" = None
+    canonical: CanonicalMap
     window_size: int = 3
     min_token_len: int = 2  # single-letter tokens are noise; set 1 to keep them
 
@@ -92,7 +89,7 @@ def tokenize(text: str, min_len: int = 2) -> list[str]:
     return out
 
 
-def _apply_phrases(tokens: list[str], canonical: "CanonicalMap") -> list[str]:
+def _apply_phrases(tokens: list[str], canonical: CanonicalMap) -> list[str]:
     # greedy longest-first scan over the phrases that start with the current
     # token; each entry list of ``phrase_starts`` is longest first
     starts = canonical.phrase_starts
@@ -113,32 +110,19 @@ def _apply_phrases(tokens: list[str], canonical: "CanonicalMap") -> list[str]:
     return out
 
 
-def normalize(
-    tokens: list[str],
-    stopwords: frozenset[str] | set[str],
-    stemmer: Stemmer,
-    canonical: "CanonicalMap | None" = None,
-) -> list[str]:
+def normalize(tokens: list[str], canonical: CanonicalMap) -> list[str]:
     """Stop-word removal, then stemming, then keyword canonicalization.
 
-    Multi-word keyword phrases are collapsed to their canonical label before
-    stemming; single-word members are matched on the stemmed form. Canonical
-    labels pass through untouched, so the function is a fixed point on its
-    own output for the stop-word and canonicalization stages.
+    ``canonical``'s stop-words are dropped, its multi-word keyword phrases
+    are collapsed to their label before stemming, and every other token
+    becomes ``canonical.node(token)``. Canonical labels pass through
+    untouched, so the function is a fixed point on its own output for the
+    stop-word and canonicalization stages.
     """
-    kept = [t for t in tokens if t not in stopwords]
-    if canonical is not None and canonical.phrase_starts:
+    kept = [t for t in tokens if t not in canonical.stopwords]
+    if canonical.phrase_starts:
         kept = _apply_phrases(kept, canonical)
-    if canonical is None:
-        return [stemmer.stem(tok) for tok in kept]
-    out = []
-    for tok in kept:
-        if tok in canonical.labels:
-            out.append(tok)
-            continue
-        stem = stemmer.stem(tok)
-        out.append(canonical.stem_map.get(stem, stem))
-    return out
+    return list(map(canonical.node, kept))
 
 
 def normalize_document(text: str, cfg: TextConfig) -> TokenSequence:
@@ -146,7 +130,7 @@ def normalize_document(text: str, cfg: TextConfig) -> TokenSequence:
     sentences = []
     for part in split_sentences(text):
         toks = tokenize(part, cfg.min_token_len)
-        norm = normalize(toks, cfg.stopwords, cfg.stemmer, cfg.canonical)
+        norm = normalize(toks, cfg.canonical)
         if norm:
             sentences.append(tuple(norm))
     return TokenSequence(sentences=tuple(sentences))

@@ -49,8 +49,7 @@ def score_fixture(fx, language="english", stopwords_path=None):
     stopwords = load_stopwords(stopwords_path or fixture_path("stopwords_en.txt"))
     stemmer = get_stemmer(language)
     sets = parse_registry(fx.registry_path)
-    canonical = compile_canonical_map(sets, stemmer, stopwords)
-    cfg = TextConfig(stemmer=stemmer, stopwords=stopwords, canonical=canonical, window_size=3)
+    cfg = TextConfig(canonical=compile_canonical_map(sets, stemmer, stopwords), window_size=3)
     docs = list(load_corpus(fx.corpus_path))
 
     # same grid the fixture config describes

@@ -26,7 +26,7 @@ from sbsflow.causality import (
     select_lag_bic,
 )
 from sbsflow.corpus import Document, assign_windows, build_windows
-from sbsflow.keywords import fixture_path
+from sbsflow.keywords import compile_canonical_map, fixture_path
 from sbsflow.network import WordGraph, connectivity, diversity_all, sbs, standardize
 from sbsflow.pipeline import (
     PLOT_CSV,
@@ -103,8 +103,9 @@ def test_criterion_03_known_sentence_adjacency():
         "recommend those institutions which tend to promote the public welfare."
     )
     cfg = TextConfig(
-        stemmer=NullStemmer(),
-        stopwords=frozenset({"the", "of", "to", "and", "which", "those"}),
+        canonical=compile_canonical_map(
+            [], NullStemmer(), frozenset({"the", "of", "to", "and", "which", "those"})
+        ),
         window_size=3,
     )
     seq = normalize_document(sentence, cfg)

@@ -166,6 +166,21 @@ class TestLoadCorpus:
         assert [(d.id, d.title, d.body) for d in docs] == [("7", "", "b0"), ("2.5", "t1", "")]
         assert report.rejects == []
 
+    def test_non_finite_number_id_rejected(self, tmp_path):
+        # json.loads took these as the ids 'nan' and 'inf', and 1e400 as a second 'inf'
+        p = tmp_path / "c.jsonl"
+        lines = [json.dumps(make_record(0, "2020-01-01"))]
+        lines += [json.dumps(make_record(i, "2020-01-01")).replace(f'"d{i}"', raw) for i, raw in
+                  enumerate(["NaN", "Infinity", "1e400"], start=1)]
+        p.write_text("\n".join(lines) + "\n")
+        report = IngestReport()
+        assert [d.id for d in load_corpus(p, report=report)] == ["d0"]
+        assert report.rejects == [
+            (2, "'id' must be a finite number, got nan"),
+            (3, "'id' must be a finite number, got inf"),
+            (4, "'id' must be a finite number, got inf"),
+        ]
+
     def test_csv_record_rejected_at_the_line_where_it_starts(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text(

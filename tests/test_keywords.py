@@ -42,6 +42,24 @@ class TestParseRegistry:
             parse_registry(p)
         assert "euro" in str(err.value)
 
+    def test_nfd_spelling_of_a_member_is_the_same_surface_form(self, tmp_path):
+        # the NFD spelling passed here and was refused later as a stem collision
+        p = tmp_path / "kw.yaml"
+        nfd = unicodedata.normalize("NFD", "città")
+        p.write_text(
+            f"- label: citta\n  members: [città]\n- label: urbe\n  members: [{nfd}]\n", encoding="utf-8"
+        )
+        with pytest.raises(RegistryError) as err:
+            parse_registry(p)
+        assert "surface form 'città' claimed by both 'citta' (block 0) and 'urbe' (block 1)" in str(err.value)
+
+    def test_nfd_label_is_read_in_nfc_form(self, tmp_path):
+        # an NFD label was refused as "must be lowercase letters, digits and underscores"
+        p = tmp_path / "kw.yaml"
+        nfd = unicodedata.normalize("NFD", "città")
+        p.write_text(f"- label: {nfd}\n  members: [{nfd}, urbe]\n", encoding="utf-8")
+        assert parse_registry(p) == [KeywordSet("città", ("città", "urbe"))]
+
     def test_label_must_be_lowercase_single_token(self, tmp_path):
         p = tmp_path / "kw.yaml"
         p.write_text("- label: Interest Rate\n  members: [x]\n")
@@ -90,6 +108,23 @@ class TestCompileCanonicalMap:
             )
         assert "collision" in str(err.value)
 
+    def test_phrase_claimed_by_two_labels_fatal(self):
+        # all three compiled to ("interest", "rate"), and the first label took every match
+        sets = [
+            KeywordSet("rates", ("interest rate",)),
+            KeywordSet("other", ("interest  rate", "interest-rate")),
+        ]
+        with pytest.raises(RegistryError) as err:
+            compile_canonical_map(sets, PorterStemmer())
+        msg = str(err.value)
+        assert "'interest  rate' (other)" in msg and "'interest rate' (rates)" in msg
+
+    def test_spellings_of_one_phrase_within_a_label_collapse(self):
+        cm = compile_canonical_map(
+            [KeywordSet("interest_rate", ("interest rate", "interest-rate"))], PorterStemmer()
+        )
+        assert cm.phrase_starts == {"interest": ((("interest", "rate"), "interest_rate"),)}
+
     def test_phrases_filter_stopwords(self):
         cm = compile_canonical_map(
             [KeywordSet("bank_of_italy", ("bank of italy",))],
@@ -126,7 +161,7 @@ def test_round_trip_every_member_yields_its_label(fixture):
     for ks in sets:
         for member in ks.members:
             tokens = [t for t in tokenize(member, min_len=1)]
-            out = normalize(tokens, stop, stemmer, cm)
+            out = normalize(tokens, cm)
             assert out.count(ks.label) == 1, (member, out)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import as_sequence
 from oracles import betweenness_by_enumeration, random_weighted_graph
 from sbsflow import network
+from sbsflow.keywords import compile_canonical_map
 from sbsflow.network import (
     WordGraph,
     build_graph,
@@ -60,7 +61,8 @@ class TestBuildGraph:
             WordGraph({("a", "a"): 1})
 
     def test_known_sentence_same_neighborhood(self):
-        cfg = TextConfig(stemmer=NullStemmer(), stopwords=SMITH_STOPWORDS, window_size=3)
+        canonical = compile_canonical_map([], NullStemmer(), SMITH_STOPWORDS)
+        cfg = TextConfig(canonical=canonical, window_size=3)
         seq = normalize_document(SMITH_SENTENCE, cfg)
         records = sequence_cooccurrences([seq], 3)
         g = build_graph(records)

@@ -497,13 +497,17 @@ def test_score_window_stems_each_distinct_token_once():
     texts = ["Markets fell. Markets and prices fell again!", "Prices rose; markets rose."]
     words = {"markets", "fell", "prices", "again", "rose"}
     counting = CountingStemmer()
-    cfg = TextConfig(stemmer=counting, stopwords=frozenset({"and"}))
+    cfg = TextConfig(canonical=compile_canonical_map([], counting, frozenset({"and"})))
     scores = score_window(texts, 4, cfg, ["market", "price"], min_edge_weight=1)
     assert counting.calls == Counter(dict.fromkeys(words, 1))
-    # the memo lives for one window: the next call stems every token again
+    # the memo lives as long as the map: a second call stems nothing
     assert score_window(texts, 4, cfg, ["market", "price"], min_edge_weight=1) == scores
+    assert counting.calls == Counter(dict.fromkeys(words, 1))
+    # a fresh map stems every token again
+    fresh = TextConfig(canonical=compile_canonical_map([], counting, frozenset({"and"})))
+    assert score_window(texts, 4, fresh, ["market", "price"], min_edge_weight=1) == scores
     assert counting.calls == Counter(dict.fromkeys(words, 2))
-    plain = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"and"}))
+    plain = TextConfig(canonical=compile_canonical_map([], PorterStemmer(), frozenset({"and"})))
     assert score_window(texts, 4, plain, ["market", "price"], min_edge_weight=1) == scores
 
 
@@ -517,7 +521,7 @@ def test_nfc_and_nfd_spellings_score_alike(tmp_path):
     stopwords_file.write_text(unicodedata.normalize("NFD", "la\nil\nè\ndi\ne\nperché\n"), encoding="utf-8")
     stopwords = load_stopwords(stopwords_file)
     assert {"è", "perché"} <= stopwords
-    cfg = TextConfig(stemmer=get_stemmer("none"), stopwords=stopwords)
+    cfg = TextConfig(canonical=compile_canonical_map([], get_stemmer("none"), stopwords))
     keywords = ["città", "roma", "sággio"]
     nfc = score_window(texts, 0, cfg, keywords, min_edge_weight=1)
     nfd = score_window([unicodedata.normalize("NFD", t) for t in texts], 0, cfg, keywords, min_edge_weight=1)
@@ -530,7 +534,7 @@ def test_score_window_is_the_hand_built_window(fixture):
     stemmer = get_stemmer("english")
     stopwords = load_stopwords(fixture_path("stopwords_en.txt"))
     sets = parse_registry(fixture.registry_path)
-    cfg = TextConfig(stemmer, stopwords, compile_canonical_map(sets, stemmer, stopwords))
+    cfg = TextConfig(compile_canonical_map(sets, stemmer, stopwords))
     texts = [doc.text() for doc in load_corpus(fixture.corpus_path)][:60]
     keywords = [*sorted(s.label for s in sets), "ghost"]
     seqs = [normalize_document(text, cfg) for text in texts]

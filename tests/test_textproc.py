@@ -90,25 +90,26 @@ class TestSplitSentences:
 
 class TestNormalize:
     def test_stopwords_then_porter(self):
-        out = normalize(["the", "same", "principle"], frozenset({"the"}), PorterStemmer())
+        cm = compile_canonical_map([], PorterStemmer(), frozenset({"the"}))
+        out = normalize(["the", "same", "principle"], cm)
         assert out == ["same", "principl"]
 
     def test_empty(self):
-        assert normalize([], frozenset(), PorterStemmer()) == []
+        assert normalize([], compile_canonical_map([], PorterStemmer())) == []
 
     def test_synonym_canonicalization(self):
         cm = compile_canonical_map(
             [KeywordSet("covid", ("covid", "coronavirus")), KeywordSet("lockdown", ("lockdown",))],
             PorterStemmer(),
         )
-        out = normalize(["lockdown", "covid", "coronavirus"], frozenset(), PorterStemmer(), cm)
+        out = normalize(["lockdown", "covid", "coronavirus"], cm)
         assert out == ["lockdown", "covid", "covid"]
 
     def test_phrase_collapsed_before_stemming(self):
         cm = compile_canonical_map(
-            [KeywordSet("interest_rate", ("interest rate",))], PorterStemmer()
+            [KeywordSet("interest_rate", ("interest rate",))], PorterStemmer(), frozenset({"the"})
         )
-        out = normalize(["the", "interest", "rate", "rose"], frozenset({"the"}), PorterStemmer(), cm)
+        out = normalize(["the", "interest", "rate", "rose"], cm)
         assert out == ["interest_rate", "rose"]
 
     def test_longest_phrase_wins(self):
@@ -119,32 +120,30 @@ class TestNormalize:
             ],
             PorterStemmer(),
         )
-        out = normalize(["negative", "interest", "rate"], frozenset(), PorterStemmer(), cm)
+        out = normalize(["negative", "interest", "rate"], cm)
         assert out == ["negative_interest_rate"]
 
     def test_stopword_and_canonical_stages_idempotent(self):
         cm = compile_canonical_map(
-            [KeywordSet("covid", ("covid", "coronavirus"))], PorterStemmer()
+            [KeywordSet("covid", ("covid", "coronavirus"))], NullStemmer(), frozenset({"the", "of"})
         )
-        stop = frozenset({"the", "of"})
-        null = NullStemmer()
 
         for tokens in (
             ["the", "covid", "coronavirus", "wave"],
             [], ["of", "of", "the"], ["covid"],
         ):
-            once = normalize(tokens, stop, null, cm)
-            assert normalize(once, stop, null, cm) == once
+            once = normalize(tokens, cm)
+            assert normalize(once, cm) == once
 
     @given(tokens_st)
     def test_full_pipeline_fixed_point_on_own_output(self, tokens):
         # canonical labels and the sample vocabulary stem stably, so the
         # full normalize is a fixed point on its own output here
-        cm = compile_canonical_map([KeywordSet("alpha", ("alpha", "alphas"))], PorterStemmer())
-        stop = frozenset({"beta"})
-        stemmer = PorterStemmer()
-        once = normalize(tokens, stop, stemmer, cm)
-        assert normalize(once, stop, stemmer, cm) == once
+        cm = compile_canonical_map(
+            [KeywordSet("alpha", ("alpha", "alphas"))], PorterStemmer(), frozenset({"beta"})
+        )
+        once = normalize(tokens, cm)
+        assert normalize(once, cm) == once
 
 
 def sentence_pairs(tokens, window_size):
@@ -289,7 +288,7 @@ class TestPhraseIndex:
 
 class TestNormalizeDocument:
     def test_sentences_isolated(self):
-        cfg = TextConfig(stemmer=NullStemmer())
+        cfg = TextConfig(canonical=compile_canonical_map([], NullStemmer()))
         seq = normalize_document("alpha beta. gamma delta", cfg)
         assert seq.sentences == (("alpha", "beta"), ("gamma", "delta"))
         # co-occurrence never crosses the sentence boundary
@@ -297,7 +296,7 @@ class TestNormalizeDocument:
         assert ("beta", "gamma") not in pairs
 
     def test_order_reflects_text_order(self):
-        cfg = TextConfig(stemmer=PorterStemmer(), stopwords=frozenset({"the"}))
+        cfg = TextConfig(canonical=compile_canonical_map([], PorterStemmer(), frozenset({"the"})))
         seq = normalize_document("The same principle, the same love of system", cfg)
         assert seq.sentences == (("same", "principl", "same", "love", "of", "system"),)
 
@@ -307,4 +306,4 @@ class TestTextConfig:
     def test_min_token_len_below_one_refused(self, min_token_len):
         # an empty token would become a graph node
         with pytest.raises(ValueError, match="min_token_len must be >= 1"):
-            TextConfig(stemmer=NullStemmer(), min_token_len=min_token_len)
+            TextConfig(canonical=compile_canonical_map([], NullStemmer()), min_token_len=min_token_len)

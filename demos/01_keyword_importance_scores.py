@@ -10,7 +10,6 @@ composite score is the sum of the three z-scores against all words of the
 window.
 """
 from sbsflow import (
-    TextConfig,
     build_graph,
     compile_canonical_map,
     connectivity,
@@ -35,14 +34,14 @@ canonical = compile_canonical_map(
     NullStemmer(),  # keep readable node labels
     stopwords=frozenset({"the", "of", "to", "and", "which", "those"}),
 )
-cfg = TextConfig(canonical, window_size=3)
+WINDOW_SIZE = 3  # words closer than this many positions are linked
 
 # a window of one document
-window = [normalize_document(SENTENCE, cfg)]
+window = [normalize_document(SENTENCE, canonical)]
 print("normalized sentences:", window[0].sentences)
 
 prev = prevalence(window)
-records = sequence_cooccurrences(window, cfg.window_size)
+records = sequence_cooccurrences(window, WINDOW_SIZE)
 graph = build_graph(records, extra_nodes=prev.keys())
 print(f"\ngraph: {graph.n} nodes, {len(graph.edges)} edges")
 print("neighborhood of 'same':", sorted(graph.neighbors("same")))

@@ -34,8 +34,8 @@ _EXPORTS = {
     "series": ("MonthlySeries", "SeriesError", "WeeklySeries", "disaggregate", "load_monthly"),
     "stemming": ("ItalianStemmer", "NullStemmer", "PorterStemmer", "get_stemmer"),
     "textproc": (
-        "TextConfig", "TokenSequence", "normalize", "normalize_document",
-        "sequence_cooccurrences", "split_sentences", "tokenize",
+        "TokenSequence", "normalize", "normalize_document", "sequence_cooccurrences",
+        "split_sentences", "tokenize",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -55,8 +55,9 @@ class KeywordSet:
 
 @dataclass(frozen=True)
 class CanonicalMap:
-    """How a token becomes a graph node, with the stemmer and stop-words
-    the keywords were compiled with.
+    """How text becomes graph nodes: the stemmer, the stop-words (in the
+    form ``tokenize`` gives) and the shortest token kept that the keywords
+    were compiled with.
 
     ``phrase_starts`` maps the first word of each tokenized multi-word
     member to its ``(words, label)`` entries, longest first; ``stem_map``
@@ -68,6 +69,7 @@ class CanonicalMap:
     labels: frozenset[str]
     stemmer: Stemmer
     stopwords: frozenset[str]
+    min_token_len: int
     _nodes: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, token: str) -> str:
@@ -83,6 +85,12 @@ class CanonicalMap:
 def fixture_path(name: str) -> Path:
     """Path of a fixture file shipped with the package."""
     return Path(str(resources.files("sbsflow").joinpath("fixtures", name)))
+
+
+def load_stopwords(path: str | Path) -> frozenset[str]:
+    """One stop-word per line; blank lines and '#' comments are skipped."""
+    lines = (line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
 def parse_registry(path: str | Path) -> list[KeywordSet]:
@@ -135,13 +143,19 @@ def compile_canonical_map(
     sets: list[KeywordSet],
     stemmer: Stemmer,
     stopwords: frozenset[str] | set[str] = frozenset(),
+    min_token_len: int = 2,
 ) -> CanonicalMap:
     """Build the stem map and phrase table; a stem or a phrase claimed by
     two labels is fatal.
 
-    Phrase tokens are filtered through ``stopwords`` so multi-word members
-    like "bank of italy" still match the stop-word-stripped token stream.
+    Stop-words are put in NFC lower case, as ``tokenize`` gives tokens.
+    Phrase tokens are filtered through them so multi-word members like
+    "bank of italy" still match the stop-word-stripped token stream. A
+    member word shorter than ``min_token_len`` is fatal: no text keeps it.
     """
+    if min_token_len < 1:
+        raise ValueError("min_token_len must be >= 1")
+    stopwords = frozenset(unicodedata.normalize("NFC", w).lower() for w in stopwords)
     stem_map: dict[str, str] = {}
     stem_source: dict[str, str] = {}
     phrase_source: dict[tuple[str, ...], tuple[str, str]] = {}
@@ -151,6 +165,12 @@ def compile_canonical_map(
             words = tuple(t for t in tokenize(member, min_len=1) if t not in stopwords)
             if not words:
                 raise RegistryError(f"member {member!r} of {ks.label!r} has no tokens")
+            short = next((w for w in words if len(w) < min_token_len), None)
+            if short is not None:
+                raise RegistryError(
+                    f"member {member!r} of {ks.label!r} has the word {short!r}, shorter "
+                    f"than min_token_len {min_token_len}, which no text keeps"
+                )
             if len(words) > 1:
                 source, label = phrase_source.setdefault(words, (member, ks.label))
                 if label != ks.label:
@@ -182,5 +202,6 @@ def compile_canonical_map(
         phrase_starts={word: tuple(entries) for word, entries in phrase_starts.items()},
         labels=labels,
         stemmer=stemmer,
-        stopwords=frozenset(stopwords),
+        stopwords=stopwords,
+        min_token_len=min_token_len,
     )

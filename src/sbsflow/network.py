@@ -23,7 +23,9 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -330,8 +332,10 @@ def zscore_params(values: Iterable[float]) -> tuple[float, float]:
         return 0.0, 0.0
     if max(vals) == min(vals):
         return float(vals[0]), 0.0
-    mu = sum(vals) / len(vals)
-    var = sum((v - mu) ** 2 for v in vals) / len(vals)
+    # summed left to right (not sum(), which compensates on Python >= 3.12):
+    # the floats of sum() on 3.11, so the z-scores never depend on the interpreter
+    mu = reduce(add, vals, 0.0) / len(vals)
+    var = reduce(add, ((v - mu) ** 2 for v in vals), 0.0) / len(vals)
     return mu, math.sqrt(var)
 
 

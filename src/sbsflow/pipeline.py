@@ -15,7 +15,6 @@ import math
 import os
 import platform
 import time
-import unicodedata
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
@@ -35,7 +34,7 @@ from .corpus import (
     build_windows,
     load_corpus,
 )
-from .keywords import compile_canonical_map, parse_registry
+from .keywords import CanonicalMap, compile_canonical_map, load_stopwords, parse_registry
 from .series import WeeklySeries
 from .stemming import get_stemmer
 
@@ -75,17 +74,6 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed after validation."""
 
 
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One token per line, in NFC form as ``tokenize`` gives it; blank lines
-    and '#' comments ignored."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = unicodedata.normalize("NFC", line.strip()).lower()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
-
-
 # ---------------------------------------------------------------------------
 # Per-window scoring, parallel over windows.
 # ---------------------------------------------------------------------------
@@ -94,22 +82,25 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 def score_window(
     texts: list[str],
     window_index: int,
-    text_cfg: textproc.TextConfig,
+    canonical: CanonicalMap,
     keywords: list[str],
     *,
+    window_size: int,
     min_edge_weight: int,
 ) -> list[SbsScore]:
     """Score ``keywords`` on the texts of one window's documents.
 
-    The scores depend on the arguments alone, so windows can be scored in
-    any process and order; the token memo of ``text_cfg.canonical`` only
-    saves work, across every call that shares the map.
+    ``canonical`` turns the texts into nodes; ``window_size`` and
+    ``min_edge_weight`` shape the graph. The scores depend on the arguments
+    alone, so windows can be scored in any process and order; the token
+    memo of ``canonical`` only saves work, across every call that shares
+    the map.
     """
     from . import network
 
-    sequences = [textproc.normalize_document(text, text_cfg) for text in texts]
+    sequences = [textproc.normalize_document(text, canonical) for text in texts]
     prev = network.prevalence(sequences)
-    records = textproc.sequence_cooccurrences(sequences, text_cfg.window_size)
+    records = textproc.sequence_cooccurrences(sequences, window_size)
     graph = network.build_graph(
         records,
         min_edge_weight=min_edge_weight,
@@ -136,7 +127,7 @@ def _score_in_worker(texts: list[str], window_index: int) -> list[SbsScore]:
 def _score_windows(
     windows: list[TimeWindow],
     assignment: WindowAssignment,
-    text_cfg: textproc.TextConfig,
+    canonical: CanonicalMap,
     keywords: list[str],
     cfg: RunConfig,
     workers: int,
@@ -151,8 +142,9 @@ def _score_windows(
     texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
     score = partial(
         score_window,
-        text_cfg=text_cfg,
+        canonical=canonical,
         keywords=keywords,
+        window_size=cfg.window_size,
         min_edge_weight=cfg.min_edge_weight,
     )
     workers = min(workers, len(windows))
@@ -171,7 +163,8 @@ def _score_windows(
 
 
 def _fmt6(x: float) -> str:
-    return format(float(x), ".6g")
+    # the format f_upper_tail certifies a p-value's digits in
+    return format(float(x), causality._P_FORMAT)
 
 
 @contextmanager
@@ -315,11 +308,7 @@ def run_pipeline(
             stemmer = get_stemmer(cfg.language)
             sets = parse_registry(cfg.registry_path)
             keywords = sorted(s.label for s in sets)
-            text_cfg = textproc.TextConfig(
-                canonical=compile_canonical_map(sets, stemmer, stopwords),
-                window_size=cfg.window_size,
-                min_token_len=cfg.min_token_len,
-            )
+            canonical = compile_canonical_map(sets, stemmer, stopwords, cfg.min_token_len)
 
         # the run's one window grid: windows 0..len(windows)-1 x keywords
         windows = build_windows(cfg.start_date, cfg.end_date)
@@ -351,7 +340,7 @@ def run_pipeline(
                         f"{first.index}..{last.index} "
                         f"({first.start_date.isoformat()}..{last.end_date.isoformat()})"
                     )
-                scores_by_window = _score_windows(windows, assignment, text_cfg, keywords, cfg, workers)
+                scores_by_window = _score_windows(windows, assignment, canonical, keywords, cfg, workers)
 
             with stage("write_scores"):
                 artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(starts, scores_by_window)))

@@ -18,7 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .keywords import CanonicalMap
 
 __all__ = [
-    "TextConfig",
     "TokenSequence",
     "split_sentences",
     "tokenize",
@@ -39,22 +38,6 @@ class TokenSequence:
     """Normalized tokens of one document, grouped by sentence."""
 
     sentences: tuple[tuple[str, ...], ...]
-
-
-@dataclass
-class TextConfig:
-    """Knobs for the document-to-tokens stage; ``canonical`` carries the
-    stemmer and stop-words."""
-
-    canonical: CanonicalMap
-    window_size: int = 3
-    min_token_len: int = 2  # single-letter tokens are noise; set 1 to keep them
-
-    def __post_init__(self) -> None:
-        if self.window_size < 2:
-            raise ValueError("window_size must be >= 2")
-        if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
 
 
 def split_sentences(text: str) -> list[str]:
@@ -125,12 +108,13 @@ def normalize(tokens: list[str], canonical: CanonicalMap) -> list[str]:
     return list(map(canonical.node, kept))
 
 
-def normalize_document(text: str, cfg: TextConfig) -> TokenSequence:
-    """Full per-document pipeline producing sentence-grouped canonical tokens."""
+def normalize_document(text: str, canonical: CanonicalMap) -> TokenSequence:
+    """Full per-document pipeline producing sentence-grouped canonical tokens;
+    tokens shorter than ``canonical.min_token_len`` are dropped."""
     sentences = []
     for part in split_sentences(text):
-        toks = tokenize(part, cfg.min_token_len)
-        norm = normalize(toks, cfg.canonical)
+        toks = tokenize(part, canonical.min_token_len)
+        norm = normalize(toks, canonical)
         if norm:
             sentences.append(tuple(norm))
     return TokenSequence(sentences=tuple(sentences))

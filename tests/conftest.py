@@ -18,11 +18,11 @@ settings.register_profile(
 settings.load_profile("ci")
 
 from sbsflow.corpus import assign_windows, build_windows, load_corpus  # noqa: E402
-from sbsflow.keywords import compile_canonical_map, parse_registry  # noqa: E402
-from sbsflow.pipeline import load_stopwords, score_window  # noqa: E402
+from sbsflow.keywords import compile_canonical_map, load_stopwords, parse_registry  # noqa: E402
+from sbsflow.pipeline import score_window  # noqa: E402
 from sbsflow.series import WeeklySeries  # noqa: E402
 from sbsflow.stemming import get_stemmer  # noqa: E402
-from sbsflow.textproc import TextConfig, TokenSequence  # noqa: E402
+from sbsflow.textproc import TokenSequence  # noqa: E402
 
 
 def as_sequence(tokens) -> TokenSequence:
@@ -49,7 +49,7 @@ def score_fixture(fx, language="english", stopwords_path=None):
     stopwords = load_stopwords(stopwords_path or fixture_path("stopwords_en.txt"))
     stemmer = get_stemmer(language)
     sets = parse_registry(fx.registry_path)
-    cfg = TextConfig(canonical=compile_canonical_map(sets, stemmer, stopwords), window_size=3)
+    canonical = compile_canonical_map(sets, stemmer, stopwords)
     docs = list(load_corpus(fx.corpus_path))
 
     # same grid the fixture config describes
@@ -62,7 +62,7 @@ def score_fixture(fx, language="english", stopwords_path=None):
     per_kw: dict[str, list[float]] = {kw: [] for kw in labels}
     for w in windows:
         texts = [d.text() for d in assignment.by_window[w.index]]
-        scores = score_window(texts, w.index, cfg, labels, min_edge_weight=1)
+        scores = score_window(texts, w.index, canonical, labels, window_size=3, min_edge_weight=1)
         for score in scores:
             per_kw[score.keyword].append(score.sbs)
     out = {kw: WeeklySeries(name=kw, values=tuple(vals)) for kw, vals in per_kw.items()}

@@ -40,11 +40,7 @@ from sbsflow.pipeline import (
 from sbsflow.series import MonthlySeries, WeeklySeries, disaggregate
 from sbsflow.stemming import NullStemmer
 from sbsflow.synthetic import make_fixture
-from sbsflow.textproc import (
-    TextConfig,
-    normalize_document,
-    sequence_cooccurrences,
-)
+from sbsflow.textproc import normalize_document, sequence_cooccurrences
 
 DATA_ARTIFACTS = [SCORES_CSV, WEEKLY_CSV, GRANGER_CSV, QUESTIONS_CSV, PLOT_CSV]
 
@@ -102,13 +98,10 @@ def test_criterion_03_known_sentence_adjacency():
         "beauty of order, of art and contrivance, frequently serves to "
         "recommend those institutions which tend to promote the public welfare."
     )
-    cfg = TextConfig(
-        canonical=compile_canonical_map(
-            [], NullStemmer(), frozenset({"the", "of", "to", "and", "which", "those"})
-        ),
-        window_size=3,
+    canonical = compile_canonical_map(
+        [], NullStemmer(), frozenset({"the", "of", "to", "and", "which", "those"})
     )
-    seq = normalize_document(sentence, cfg)
+    seq = normalize_document(sentence, canonical)
     from sbsflow.network import build_graph
 
     graph = build_graph(sequence_cooccurrences([seq], 3))

@@ -166,6 +166,10 @@ class TestFUpperTail:
         got = f_upper_tail(f, d1, d2)
         assert (_fmt6(got), assign_stars(got)) == (_fmt6(expected), assign_stars(expected))
 
+    def test_tables_print_in_the_format_the_tail_is_certified_in(self, monkeypatch):
+        monkeypatch.setattr(causality, "_P_FORMAT", ".3g")
+        assert _fmt6(0.123456) == "0.123"
+
     def test_plain_float_route_calls_no_scipy(self):
         with mock.patch("scipy.special.betainc") as betainc:
             got = f_upper_tail(2.3, 3, 25)

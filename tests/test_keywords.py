@@ -11,7 +11,7 @@ from sbsflow.keywords import (
     fixture_path,
     parse_registry,
 )
-from sbsflow.stemming import PorterStemmer, get_stemmer
+from sbsflow.stemming import NullStemmer, PorterStemmer, get_stemmer
 from sbsflow.textproc import normalize, tokenize
 
 
@@ -126,10 +126,12 @@ class TestCompileCanonicalMap:
         assert cm.phrase_starts == {"interest": ((("interest", "rate"), "interest_rate"),)}
 
     def test_phrases_filter_stopwords(self):
+        # "of" is shorter than min_token_len, but no text keeps a stop-word either
         cm = compile_canonical_map(
             [KeywordSet("bank_of_italy", ("bank of italy",))],
             PorterStemmer(),
             stopwords=frozenset({"of"}),
+            min_token_len=3,
         )
         assert cm.phrase_starts == {"bank": ((("bank", "italy"), "bank_of_italy"),)}
 
@@ -142,6 +144,31 @@ class TestCompileCanonicalMap:
         assert decomposed != sets
         stemmer = get_stemmer("italian")
         assert compile_canonical_map(decomposed, stemmer) == compile_canonical_map(sets, stemmer)
+
+    @pytest.mark.parametrize("member, word", [("vitamin d", "d"), ("g7", "g")])
+    def test_member_word_shorter_than_min_token_len_refused(self, member, word):
+        # both compiled, and no text kept the short word, so the label never matched
+        sets = [KeywordSet("label", (member,))]
+        with pytest.raises(RegistryError) as err:
+            compile_canonical_map(sets, PorterStemmer(), min_token_len=2)
+        assert str(err.value) == (
+            f"member {member!r} of 'label' has the word {word!r}, shorter than "
+            "min_token_len 2, which no text keeps"
+        )
+        assert compile_canonical_map(sets, PorterStemmer(), min_token_len=1).min_token_len == 1
+
+    @pytest.mark.parametrize("min_token_len", [0, -2])
+    @pytest.mark.parametrize("sets", [[], [KeywordSet("covid", ("covid",))]], ids=["empty", "one_set"])
+    def test_min_token_len_below_one_refused(self, sets, min_token_len):
+        # an empty token would become a graph node
+        with pytest.raises(ValueError, match="min_token_len must be >= 1"):
+            compile_canonical_map(sets, NullStemmer(), min_token_len=min_token_len)
+
+    def test_stopwords_put_in_the_form_tokenize_gives(self):
+        # a capitalized or decomposed stop-word never matched a token
+        cm = compile_canonical_map([], NullStemmer(), {"The", unicodedata.normalize("NFD", "perché")})
+        assert cm.stopwords == {"the", "perché"}
+        assert normalize(tokenize("The city, perché not"), cm) == ["city", "not"]
 
     def test_canonicalization_is_a_function(self):
         sets = parse_registry(fixture_path("keywords_full.yaml"))

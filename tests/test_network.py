@@ -26,7 +26,7 @@ from sbsflow.network import (
     zscore_params,
 )
 from sbsflow.stemming import NullStemmer
-from sbsflow.textproc import TextConfig, normalize_document, sequence_cooccurrences
+from sbsflow.textproc import normalize_document, sequence_cooccurrences
 
 SMITH_SENTENCE = (
     "The same principle, the same love of system, the same regard to the "
@@ -62,8 +62,7 @@ class TestBuildGraph:
 
     def test_known_sentence_same_neighborhood(self):
         canonical = compile_canonical_map([], NullStemmer(), SMITH_STOPWORDS)
-        cfg = TextConfig(canonical=canonical, window_size=3)
-        seq = normalize_document(SMITH_SENTENCE, cfg)
+        seq = normalize_document(SMITH_SENTENCE, canonical)
         records = sequence_cooccurrences([seq], 3)
         g = build_graph(records)
         assert {"principle", "love", "system"} <= set(g.neighbors("same"))
@@ -319,6 +318,12 @@ class TestStandardize:
 
     def test_empty(self):
         assert standardize({}) == {}
+
+    def test_params_do_not_depend_on_how_sum_rounds(self, monkeypatch):
+        # Python 3.12's sum() compensates; a compensated sum gives 1/3 here
+        monkeypatch.setattr("builtins.sum", math.fsum)
+        mu, _ = zscore_params([1e16, 1.0, -1e16])
+        assert mu == 0.0
 
     @given(
         st.dictionaries(

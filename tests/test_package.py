@@ -12,7 +12,7 @@ EXPORTED = [
     "CanonicalMap", "ConfigError", "CorpusError", "CrossCorrelation", "DegenerateSeriesError",
     "Document", "GrangerResult", "IngestConfig", "IngestReport", "ItalianStemmer", "KeywordSet",
     "MonthlySeries", "NullStemmer", "PipelineError", "PorterStemmer", "RankDeficientError",
-    "RegistryError", "RegressionFit", "RunConfig", "SbsScore", "SeriesError", "TextConfig",
+    "RegistryError", "RegressionFit", "RunConfig", "SbsScore", "SeriesError",
     "TimeWindow", "TokenSequence", "WeeklySeries", "WordGraph", "assign_stars", "assign_windows",
     "build_graph", "build_windows", "compile_canonical_map", "connectivity",
     "cross_correlation_sign", "disaggregate", "f_upper_tail", "fixture_path", "get_stemmer",
@@ -24,7 +24,7 @@ EXPORTED = [
 
 
 def test_all_lists_the_exported_names_sorted():
-    assert len(EXPORTED) == 56
+    assert len(EXPORTED) == 55
     assert sbsflow.__all__ == EXPORTED
 
 

@@ -23,7 +23,7 @@ import sbsflow
 from sbsflow import config, pipeline
 from sbsflow.cli import main as cli_main
 from sbsflow.corpus import load_corpus
-from sbsflow.keywords import compile_canonical_map, fixture_path, parse_registry
+from sbsflow.keywords import compile_canonical_map, fixture_path, load_stopwords, parse_registry
 from sbsflow.network import build_graph, prevalence, sbs
 from sbsflow.pipeline import (
     MANIFEST_JSON,
@@ -34,14 +34,13 @@ from sbsflow.pipeline import (
     WEEKLY_CSV,
     ConfigError,
     PipelineError,
-    load_stopwords,
     run_pipeline,
     score_window,
     validate_config,
 )
 from sbsflow.stemming import PorterStemmer, get_stemmer
 from sbsflow.synthetic import make_fixture
-from sbsflow.textproc import TextConfig, normalize_document, sequence_cooccurrences
+from sbsflow.textproc import normalize_document, sequence_cooccurrences
 
 from conftest import score_fixture
 
@@ -497,18 +496,19 @@ def test_score_window_stems_each_distinct_token_once():
     texts = ["Markets fell. Markets and prices fell again!", "Prices rose; markets rose."]
     words = {"markets", "fell", "prices", "again", "rose"}
     counting = CountingStemmer()
-    cfg = TextConfig(canonical=compile_canonical_map([], counting, frozenset({"and"})))
-    scores = score_window(texts, 4, cfg, ["market", "price"], min_edge_weight=1)
+    score = partial(score_window, keywords=["market", "price"], window_size=3, min_edge_weight=1)
+    canonical = compile_canonical_map([], counting, frozenset({"and"}))
+    scores = score(texts, 4, canonical)
     assert counting.calls == Counter(dict.fromkeys(words, 1))
     # the memo lives as long as the map: a second call stems nothing
-    assert score_window(texts, 4, cfg, ["market", "price"], min_edge_weight=1) == scores
+    assert score(texts, 4, canonical) == scores
     assert counting.calls == Counter(dict.fromkeys(words, 1))
     # a fresh map stems every token again
-    fresh = TextConfig(canonical=compile_canonical_map([], counting, frozenset({"and"})))
-    assert score_window(texts, 4, fresh, ["market", "price"], min_edge_weight=1) == scores
+    fresh = compile_canonical_map([], counting, frozenset({"and"}))
+    assert score(texts, 4, fresh) == scores
     assert counting.calls == Counter(dict.fromkeys(words, 2))
-    plain = TextConfig(canonical=compile_canonical_map([], PorterStemmer(), frozenset({"and"})))
-    assert score_window(texts, 4, plain, ["market", "price"], min_edge_weight=1) == scores
+    plain = compile_canonical_map([], PorterStemmer(), frozenset({"and"}))
+    assert score(texts, 4, plain) == scores
 
 
 def test_nfc_and_nfd_spellings_score_alike(tmp_path):
@@ -519,12 +519,11 @@ def test_nfc_and_nfd_spellings_score_alike(tmp_path):
     ]
     stopwords_file = tmp_path / "stop.txt"
     stopwords_file.write_text(unicodedata.normalize("NFD", "la\nil\nè\ndi\ne\nperché\n"), encoding="utf-8")
-    stopwords = load_stopwords(stopwords_file)
-    assert {"è", "perché"} <= stopwords
-    cfg = TextConfig(canonical=compile_canonical_map([], get_stemmer("none"), stopwords))
-    keywords = ["città", "roma", "sággio"]
-    nfc = score_window(texts, 0, cfg, keywords, min_edge_weight=1)
-    nfd = score_window([unicodedata.normalize("NFD", t) for t in texts], 0, cfg, keywords, min_edge_weight=1)
+    canonical = compile_canonical_map([], get_stemmer("none"), load_stopwords(stopwords_file))
+    assert {"è", "perché"} <= canonical.stopwords
+    score = partial(score_window, keywords=["città", "roma", "sággio"], window_size=3, min_edge_weight=1)
+    nfc = score(texts, 0, canonical)
+    nfd = score([unicodedata.normalize("NFD", t) for t in texts], 0, canonical)
     assert nfd == nfc
     assert [s.prevalence_raw for s in nfc] == [3, 2, 1]
 
@@ -534,16 +533,15 @@ def test_score_window_is_the_hand_built_window(fixture):
     stemmer = get_stemmer("english")
     stopwords = load_stopwords(fixture_path("stopwords_en.txt"))
     sets = parse_registry(fixture.registry_path)
-    cfg = TextConfig(compile_canonical_map(sets, stemmer, stopwords))
+    canonical = compile_canonical_map(sets, stemmer, stopwords)
     texts = [doc.text() for doc in load_corpus(fixture.corpus_path)][:60]
     keywords = [*sorted(s.label for s in sets), "ghost"]
-    seqs = [normalize_document(text, cfg) for text in texts]
+    seqs = [normalize_document(text, canonical) for text in texts]
     prev = prevalence(seqs)
-    graph = build_graph(
-        sequence_cooccurrences(seqs, cfg.window_size), min_edge_weight=2, extra_nodes=prev.keys()
-    )
+    graph = build_graph(sequence_cooccurrences(seqs, 3), min_edge_weight=2, extra_nodes=prev.keys())
     assert prev["interest_rate"] > 0  # the window collapses a phrase
-    assert score_window(texts, 0, cfg, keywords, min_edge_weight=2) == sbs(graph, prev, keywords)
+    scores = score_window(texts, 0, canonical, keywords, window_size=3, min_edge_weight=2)
+    assert scores == sbs(graph, prev, keywords)
 
 
 def test_serial_run_stems_each_distinct_token_once(fixture, tmp_path, monkeypatch):
@@ -812,6 +810,34 @@ class TestCli:
         bad.write_text(_rewritten_config(fixture, corpus=empty, out=tmp_path / "out"))
         assert cli_main(["run", "--config", str(bad)]) == 2
         assert "failed" in capsys.readouterr().err
+
+    @staticmethod
+    def _config_with_vitamin_d(fixture, tmp_path, **overrides):
+        registry = tmp_path / "keywords.yaml"
+        registry.write_text(fixture.registry_path.read_text() + '- label: vitamin_d\n  members: ["vitamin d"]\n')
+        config = tmp_path / "cfg.yaml"
+        config.write_text(_rewritten_config(fixture, out=tmp_path / "out", registry=str(registry), **overrides))
+        return config
+
+    @pytest.mark.parametrize("command", ["run", "score", "test"])
+    def test_registry_member_no_text_keeps_exit_2_at_registry_stage(
+        self, fixture, tmp_path, capsys, command
+    ):
+        # at min_token_len 2 the member compiled and then scored zeros every week
+        config = self._config_with_vitamin_d(fixture, tmp_path)
+        out = tmp_path / "out"
+        # validate reads no registry
+        assert cli_main(["validate", "--config", str(config)]) == 0
+        assert cli_main([command, "--config", str(config)]) == 2
+        assert "'vitamin d' of 'vitamin_d' has the word 'd'" in capsys.readouterr().err
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert manifest["failed_stage"] == manifest["stages"][-1]["stage"] == "registry"
+        assert manifest["artifacts"] == []
+        assert not [name for name in ARTIFACTS if (out / name).exists()]
+
+    def test_registry_compiled_at_the_configs_min_token_len(self, fixture, tmp_path):
+        config = self._config_with_vitamin_d(fixture, tmp_path, min_token_len=1)
+        assert cli_main(["score", "--config", str(config)]) == 0
 
     def test_score_then_test_subcommands(self, fixture, tmp_path):
         out = tmp_path / "o"

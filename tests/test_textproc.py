@@ -12,7 +12,6 @@ from oracles import brute_force_pairs
 from sbsflow.keywords import KeywordSet, compile_canonical_map
 from sbsflow.stemming import NullStemmer, PorterStemmer
 from sbsflow.textproc import (
-    TextConfig,
     TokenSequence,
     _apply_phrases,
     normalize,
@@ -288,22 +287,24 @@ class TestPhraseIndex:
 
 class TestNormalizeDocument:
     def test_sentences_isolated(self):
-        cfg = TextConfig(canonical=compile_canonical_map([], NullStemmer()))
-        seq = normalize_document("alpha beta. gamma delta", cfg)
+        seq = normalize_document("alpha beta. gamma delta", compile_canonical_map([], NullStemmer()))
         assert seq.sentences == (("alpha", "beta"), ("gamma", "delta"))
         # co-occurrence never crosses the sentence boundary
         pairs = sequence_cooccurrences([seq], 3)
         assert ("beta", "gamma") not in pairs
 
     def test_order_reflects_text_order(self):
-        cfg = TextConfig(canonical=compile_canonical_map([], PorterStemmer(), frozenset({"the"})))
-        seq = normalize_document("The same principle, the same love of system", cfg)
+        canonical = compile_canonical_map([], PorterStemmer(), frozenset({"the"}))
+        seq = normalize_document("The same principle, the same love of system", canonical)
         assert seq.sentences == (("same", "principl", "same", "love", "of", "system"),)
 
+    def test_tokens_shorter_than_the_maps_min_token_len_dropped(self):
+        text = "The vitamin D summit of the G7 and the euro."
+        sets = [KeywordSet("vitamin_d", ("vitamin d",)), KeywordSet("g_seven", ("g7",))]
+        canonical = compile_canonical_map(sets, NullStemmer(), frozenset({"the"}), min_token_len=1)
+        seq = normalize_document(text, canonical)
+        assert seq.sentences == (("vitamin_d", "summit", "of", "g_seven", "and", "euro"),)
+        canonical = compile_canonical_map([], NullStemmer(), frozenset({"the"}), min_token_len=3)
+        seq = normalize_document(text, canonical)
+        assert seq.sentences == (("vitamin", "summit", "and", "euro"),)
 
-class TestTextConfig:
-    @pytest.mark.parametrize("min_token_len", [0, -2])
-    def test_min_token_len_below_one_refused(self, min_token_len):
-        # an empty token would become a graph node
-        with pytest.raises(ValueError, match="min_token_len must be >= 1"):
-            TextConfig(canonical=compile_canonical_map([], NullStemmer()), min_token_len=min_token_len)

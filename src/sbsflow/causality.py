@@ -519,6 +519,30 @@ def _target_block(
     return results
 
 
+# a pool worker's task function, stored once per process by the pool's initializer
+_worker_fn = None
+
+
+def _start_worker(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_in_worker(task: tuple) -> object:
+    return _worker_fn(*task)
+
+
+def map_in_workers(fn, *iterables, workers: int) -> list:
+    """``list(map(fn, *iterables))`` on ``min(workers, tasks)`` processes, this
+    one if that is 1; a pool's initializer gives each worker ``fn`` once."""
+    tasks = list(zip(*iterables))
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(fn,)) as pool:
+        return list(pool.map(_run_in_worker, tasks))
+
+
 def run_battery(
     sbs_series: list[WeeklySeries],
     targets: list[WeeklySeries],
@@ -532,8 +556,8 @@ def run_battery(
     degenerate fits) is reported with the reason in ``status``, not dropped.
     Results are ordered by (keyword, target); each pair tests keyword ->
     target on levels. The battery runs one target at a time against all
-    keywords at once; with ``workers`` > 1 the targets are tested in a
-    process pool, one block per target; the results are the same.
+    keywords at once, one block per target on ``map_in_workers``, so each
+    worker receives the keyword stack once; the results are the same.
     """
     if not sbs_series or not targets:
         raise ValueError("need at least one keyword series and one target series")
@@ -551,10 +575,5 @@ def run_battery(
     xs = np.array([keyword_vecs[kw] for kw in keywords], dtype=float)
     block = partial(_target_block, keywords=keywords, xs=xs, p_max=p_max)
     ys = [target_vecs[name] for name in names]
-    if workers <= 1 or len(names) < 2:
-        blocks = list(map(block, names, ys))
-    else:
-        # map returns the blocks in target order regardless of scheduling
-        with ProcessPoolExecutor(min(workers, len(names))) as pool:
-            blocks = list(pool.map(block, names, ys))
+    blocks = map_in_workers(block, names, ys, workers=workers)
     return [r for by_keyword in zip(*blocks) for r in by_keyword]

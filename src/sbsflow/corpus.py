@@ -134,8 +134,9 @@ def load_corpus(
 
     Records missing an id or date, carrying a duplicate id, or holding an
     id that is neither a string nor a finite number or a title or body that
-    is not a string, are rejected individually with the line on which they
-    start; an unreadable file is fatal.
+    is not a string, and CSV records whose cell count differs from the
+    header's, are rejected individually with the line on which they start;
+    an unreadable file is fatal.
     """
     cfg = cfg or IngestConfig()
     report = report if report is not None else IngestReport()
@@ -145,7 +146,8 @@ def load_corpus(
     if cfg.format not in ("jsonl", "csv"):
         raise CorpusError(f"unknown corpus format {cfg.format!r}")
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark some editors write at the start
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         if cfg.format == "jsonl":
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -174,6 +176,9 @@ def load_corpus(
                 if not row:  # a blank line
                     continue
                 report.records += 1
+                if len(row) != len(fields):
+                    report.reject(start, f"expected {len(fields)} cells, got {len(row)}")
+                    continue
                 doc = _parse_record(dict(zip(fields, row)), start, cfg, seen, report)
                 if doc is not None:
                     report.loaded += 1

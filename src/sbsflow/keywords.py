@@ -89,7 +89,8 @@ def fixture_path(name: str) -> Path:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One stop-word per line; blank lines and '#' comments are skipped."""
-    lines = (line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines())
+    # utf-8-sig drops the byte-order mark some editors write at the start
+    lines = (line.strip() for line in Path(path).read_text(encoding="utf-8-sig").splitlines())
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 

@@ -15,7 +15,6 @@ import math
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -110,20 +109,6 @@ def score_window(
     return network.sbs(graph, prev, keywords)
 
 
-# a pool worker's scoring function, with the worker's own copy of the
-# canonical map and its token memo; set once per process by the pool's initializer
-_worker_score = None
-
-
-def _start_score_worker(score) -> None:
-    global _worker_score
-    _worker_score = score
-
-
-def _score_in_worker(texts: list[str], window_index: int) -> list[SbsScore]:
-    return _worker_score(texts, window_index)
-
-
 def _score_windows(
     windows: list[TimeWindow],
     assignment: WindowAssignment,
@@ -132,12 +117,8 @@ def _score_windows(
     cfg: RunConfig,
     workers: int,
 ) -> list[list[SbsScore]]:
-    """Each window's scores, in window order.
-
-    The canonical map's token memo serves the whole run. With ``workers``
-    > 1 the pool hands out one window per task to whichever worker is free,
-    and each worker process keeps one copy of the map for all its windows.
-    """
+    """Each window's scores, in window order, one window per task; each
+    worker process gets one copy of the map and its token memo."""
     indices = [w.index for w in windows]
     texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
     score = partial(
@@ -147,12 +128,7 @@ def _score_windows(
         window_size=cfg.window_size,
         min_edge_weight=cfg.min_edge_weight,
     )
-    workers = min(workers, len(windows))
-    if workers <= 1:
-        return list(map(score, texts, indices))
-    # map returns results in window order regardless of scheduling
-    with ProcessPoolExecutor(workers, initializer=_start_score_worker, initargs=(score,)) as pool:
-        return list(pool.map(_score_in_worker, texts, indices))
+    return causality.map_in_workers(score, texts, indices, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,8 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
     and column.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark some editors write at the start
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

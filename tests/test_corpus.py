@@ -197,6 +197,34 @@ class TestLoadCorpus:
         assert [line for line, _ in report.rejects] == [2, 6, 9]
         assert report.records == 4
 
+    def test_csv_record_with_the_wrong_cell_count_rejected(self, tmp_path):
+        # zip used to drop the cells past the header's and leave missing ones absent
+        p = tmp_path / "c.csv"
+        p.write_text(
+            "id,date,title,body\n"
+            "1,2021-01-04,Rates,the euro rose, then the rate fell\n"
+            "2,2021-01-05,Short\n"
+            "3,2021-01-06,Kept,body\n"
+        )
+        report = IngestReport()
+        assert [d.id for d in load_corpus(p, IngestConfig(format="csv"), report)] == ["3"]
+        assert report.rejects == [(2, "expected 4 cells, got 5"), (3, "expected 4 cells, got 3")]
+        assert report.records == 3
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_byte_order_mark_is_not_part_of_the_first_record(self, tmp_path, fmt):
+        # a CSV header cell '\ufeffid' rejected every record; the first JSON line was invalid
+        text = {
+            "jsonl": json.dumps(make_record(0, "2020-01-01")) + "\n",
+            "csv": "id,date,title,body\nd0,2020-01-01,t0,b0\n",
+        }[fmt]
+        p = tmp_path / f"c.{fmt}"
+        p.write_text(text, encoding="utf-8-sig")
+        report = IngestReport()
+        docs = list(load_corpus(p, IngestConfig(format=fmt), report))
+        assert docs == [Document("d0", date(2020, 1, 1), "t0", "b0")]
+        assert report.rejects == []
+
     def test_custom_date_format(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [make_record(1, "01/02/2020")])

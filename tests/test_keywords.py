@@ -9,6 +9,7 @@ from sbsflow.keywords import (
     RegistryError,
     compile_canonical_map,
     fixture_path,
+    load_stopwords,
     parse_registry,
 )
 from sbsflow.stemming import NullStemmer, PorterStemmer, get_stemmer
@@ -197,3 +198,10 @@ def test_label_with_comma_rejected(tmp_path):
     p.write_text('- label: "a,b"\n  members: [x]\n')
     with pytest.raises(RegistryError):
         parse_registry(p)
+
+
+def test_byte_order_mark_is_not_part_of_the_first_stopword(tmp_path):
+    # the first stop-word was read as '\ufeffthe' and so matched no token
+    p = tmp_path / "stop.txt"
+    p.write_text("the\n# comment\nof\n", encoding="utf-8-sig")
+    assert load_stopwords(p) == {"the", "of"}

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbsflow
-from sbsflow import config, pipeline
+from sbsflow import causality, config, pipeline
 from sbsflow.cli import main as cli_main
 from sbsflow.corpus import load_corpus
 from sbsflow.keywords import compile_canonical_map, fixture_path, load_stopwords, parse_registry
@@ -544,6 +544,26 @@ def test_score_window_is_the_hand_built_window(fixture):
     assert scores == sbs(graph, prev, keywords)
 
 
+@pytest.mark.parametrize("include_title, covid_count", [(False, "0"), (True, "2")])
+def test_include_title_decides_whether_titles_are_scored(fixture, tmp_path, include_title, covid_count):
+    # "covid" appears only in the titles, "economy" only in the bodies
+    day = validate_config(fixture.config_path).start_date.isoformat()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{i}", "date": day, "title": "covid update", "body": body}) + "\n"
+        for i, body in enumerate(["markets watched the economy", "traders doubted the economy"])
+    ))
+    conf = yaml.safe_load(_rewritten_config(fixture, corpus=corpus, out=tmp_path / "out"))
+    conf["corpus"]["include_title"] = include_title
+    config_path = tmp_path / "cfg.yaml"
+    config_path.write_text(yaml.safe_dump(conf))
+    run_pipeline(validate_config(config_path), stage_mode="score")
+    with (tmp_path / "out" / SCORES_CSV).open(encoding="utf-8", newline="") as fh:
+        counts = {row["keyword"]: row["prevalence_raw"] for row in csv.DictReader(fh) if row["window_index"] == "0"}
+    assert counts["covid"] == covid_count
+    assert counts["economy"] == "2"
+
+
 def test_serial_run_stems_each_distinct_token_once(fixture, tmp_path, monkeypatch):
     counting = CountingStemmer()
     monkeypatch.setattr(pipeline, "get_stemmer", lambda language: counting)
@@ -569,9 +589,18 @@ class LoggingStemmer(PorterStemmer):
         return super().stem(word)
 
 
-@pytest.mark.parametrize(
-    "start_method", [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()]
-)
+# every start method this platform offers; forkserver and spawn pickle the
+# pool's initializer arguments, fork does not
+START_METHODS = [m for m in ("fork", "forkserver", "spawn") if m in multiprocessing.get_all_start_methods()]
+
+
+def _pool_with(monkeypatch, start_method: str) -> None:
+    """Make every pool of the run start its workers with ``start_method``."""
+    context = multiprocessing.get_context(start_method)
+    monkeypatch.setattr(causality, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
 def test_pooled_run_stems_each_distinct_token_once_per_worker(
     fixture, tmp_path, monkeypatch, start_method
 ):
@@ -579,8 +608,7 @@ def test_pooled_run_stems_each_distinct_token_once_per_worker(
     # worker process stems each distinct token once
     log = tmp_path / "stems.log"
     monkeypatch.setattr(pipeline, "get_stemmer", lambda language: LoggingStemmer(log))
-    context = multiprocessing.get_context(start_method)
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+    _pool_with(monkeypatch, start_method)
     run_pipeline(validate_config(fixture.config_path), tmp_path / "out", workers=2, stage_mode="score")
     # the registry is stemmed in this process; the windows only in the workers
     calls = Counter(
@@ -592,7 +620,11 @@ def test_pooled_run_stems_each_distinct_token_once_per_worker(
     assert set(calls.values()) == {1}
 
 
-def test_battery_workers_leave_artifacts_identical(fixture, scored_and_tested, tmp_path):
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_battery_workers_leave_artifacts_identical(
+    fixture, scored_and_tested, tmp_path, monkeypatch, start_method
+):
+    _pool_with(monkeypatch, start_method)
     artifacts = {}
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"

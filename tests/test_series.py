@@ -43,6 +43,12 @@ class TestLoadMonthly:
         assert len(series[0]) == 2
         assert series[0].values == (101.5, 102.25)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # the header's first cell was '\ufeffmonth', so the file was refused
+        p = tmp_path / "m.csv"
+        p.write_text("month,climate\n2020-01,101.5\n2020-02,102.25\n", encoding="utf-8-sig")
+        assert load_monthly(p) == [MonthlySeries("climate", (date(2020, 1, 1), date(2020, 2, 1)), (101.5, 102.25))]
+
     def test_month_gap_fatal(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("month,climate\n2017-01,1\n2017-03,2\n")

@@ -3,19 +3,25 @@
 Weeks are fixed 7-day blocks anchored at the configured corpus start date
 (not ISO calendar weeks), which keeps alignment with the disaggregated
 target series unambiguous. Dates are timezone-free calendar dates.
+
+Every loaded document knows the byte position at which its record starts,
+so a caller can keep an index of (id, day, position) entries instead of
+the texts and read a window's records again when it needs them.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Document",
+    "IndexEntry",
     "TimeWindow",
     "IngestConfig",
     "IngestReport",
@@ -39,11 +45,22 @@ class Document:
     published_at: date
     title: str
     body: str
+    # the byte offset in the corpus file at which the record starts, set by
+    # load_corpus; where a document was read does not make it another one
+    position: int | None = field(default=None, compare=False)
 
     def text(self, include_title: bool = True) -> str:
         if include_title and self.title:
             return f"{self.title}. {self.body}"
         return self.body
+
+
+class IndexEntry(NamedTuple):
+    """What a run keeps of an accepted record until its window is scored."""
+
+    id: str
+    published_at: date
+    position: int
 
 
 @dataclass(frozen=True)
@@ -81,10 +98,19 @@ class IngestReport:
 
 # what a JSON Lines field holds when it is not a string, as JSON names it
 _JSON_KINDS = {bool: "a boolean", int: "a number", float: "a number", list: "an array", dict: "an object"}
+# each column a record is read from: the corpus.fields key that renames it,
+# and the IngestConfig attribute that holds its name
+_COLUMNS = (("id", "id_field"), ("date", "date_field"), ("title", "title_field"), ("body", "body_field"))
 
 
 def _parse_record(
-    raw: dict, line_no: int, cfg: IngestConfig, seen: set[str], report: IngestReport
+    raw: dict,
+    line_no: int,
+    position: int,
+    cfg: IngestConfig,
+    seen: set[str],
+    dates: dict[str, date | None],
+    report: IngestReport,
 ) -> Document | None:
     for name, kinds, wanted in (
         (cfg.id_field, (str, int, float), "a string or a number"),
@@ -108,12 +134,18 @@ def _parse_record(
         report.reject(line_no, f"duplicate id {doc_id!r}")
         return None
     raw_date = raw.get(cfg.date_field)
-    if raw_date is None or str(raw_date).strip() == "":
+    key = "" if raw_date is None else str(raw_date).strip()
+    if not key:
         report.reject(line_no, f"missing {cfg.date_field!r}")
         return None
-    try:
-        day = datetime.strptime(str(raw_date).strip(), cfg.date_format).date()
-    except ValueError:
+    # a corpus repeats few distinct dates over many records: parse each once
+    if key not in dates:
+        try:
+            dates[key] = datetime.strptime(key, cfg.date_format).date()
+        except ValueError:
+            dates[key] = None
+    day = dates[key]
+    if day is None:
         report.reject(line_no, f"unparseable date {raw_date!r}")
         return None
     seen.add(doc_id)
@@ -122,13 +154,96 @@ def _parse_record(
         published_at=day,
         title=raw.get(cfg.title_field) or "",
         body=raw.get(cfg.body_field) or "",
+        position=position,
     )
+
+
+def _lines(fh: BinaryIO, at: list[int]) -> Iterator[str]:
+    """The text lines of ``fh`` from its current position, split where a
+    text-mode file splits them (at \\n, \\r and \\r\\n). ``at[0]`` starts at
+    that position and moves past each line as the line is yielded."""
+    for chunk in fh:
+        for line in chunk.splitlines(keepends=True):
+            at[0] += len(line)
+            yield line.decode("utf-8")
+
+
+def _json_record(line: str) -> dict | str:
+    """The record on a non-blank JSON line, or why it is rejected."""
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError:
+        return "invalid JSON"
+    return raw if isinstance(raw, dict) else "record is not an object"
+
+
+def _csv_record(row: list[str], header: list[str]) -> dict | str:
+    """The record in a non-blank CSV row, or why it is rejected."""
+    if len(row) != len(header):
+        return f"expected {len(header)} cells, got {len(row)}"
+    return dict(zip(header, row))
+
+
+def _check_header(header: list[str], cfg: IngestConfig, path: Path) -> None:
+    missing = [(key, getattr(cfg, attr)) for key, attr in _COLUMNS if getattr(cfg, attr) not in header]
+    if missing:
+        raise CorpusError(
+            f"CSV corpus {path}: the header {header} lacks the column(s) "
+            f"{', '.join(repr(name) for _, name in missing)}; name the file's columns in "
+            f"{', '.join(f'corpus.fields.{key}' for key, _ in missing)}, or add them "
+            "(a corpus without titles needs an empty title column)"
+        )
+
+
+_NO_RECORD = "no record starts here"
+
+
+def _records(
+    fh: BinaryIO, cfg: IngestConfig, path: Path, positions: Iterable[int] | None
+) -> Iterator[tuple[int, int, dict | str]]:
+    """``(where, position, record or why it is rejected)`` for each record of
+    ``fh``: every record in file order, located by the line on which it
+    starts, or with ``positions`` the records starting at those byte
+    positions, located by their position."""
+    at = [fh.tell()]
+    if cfg.format == "jsonl":
+        if positions is None:
+            end = at[0]
+            for line_no, line in enumerate(_lines(fh, at), start=1):
+                start, end = end, at[0]
+                if line.strip():
+                    yield line_no, start, _json_record(line)
+        else:
+            for position in positions:
+                fh.seek(position)
+                line = next(_lines(fh, [position]), "")
+                yield position, position, _json_record(line) if line.strip() else _NO_RECORD
+        return
+    reader = csv.reader(_lines(fh, at))
+    header = next(reader, [])
+    _check_header(header, cfg, path)
+    if positions is None:
+        end, last_line = at[0], reader.line_num
+        for row in reader:
+            # a quoted field may span lines: a record starts on the line
+            # after the previous record's last one
+            start, end = end, at[0]
+            line_no, last_line = last_line + 1, reader.line_num
+            if row:  # not a blank line
+                yield line_no, start, _csv_record(row, header)
+    else:
+        for position in positions:
+            fh.seek(position)
+            row = next(csv.reader(_lines(fh, [position])), [])
+            yield position, position, _csv_record(row, header) if row else _NO_RECORD
 
 
 def load_corpus(
     path: str | Path,
     cfg: IngestConfig | None = None,
     report: IngestReport | None = None,
+    *,
+    positions: Iterable[int] | None = None,
 ) -> Iterator[Document]:
     """Stream documents in file order; malformed records go to the report.
 
@@ -136,7 +251,11 @@ def load_corpus(
     id that is neither a string nor a finite number or a title or body that
     is not a string, and CSV records whose cell count differs from the
     header's, are rejected individually with the line on which they start;
-    an unreadable file is fatal.
+    an unreadable file, and a CSV header that lacks a configured column,
+    are fatal. Each document carries the byte position at which its record
+    starts. Given ``positions``, only the records that start there are read,
+    in that order: a reject is then located by its byte position, and a
+    position at which no record starts is rejected.
     """
     cfg = cfg or IngestConfig()
     report = report if report is not None else IngestReport()
@@ -146,43 +265,20 @@ def load_corpus(
     if cfg.format not in ("jsonl", "csv"):
         raise CorpusError(f"unknown corpus format {cfg.format!r}")
     seen: set[str] = set()
-    # utf-8-sig drops the byte-order mark some editors write at the start
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        if cfg.format == "jsonl":
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                report.records += 1
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    report.reject(line_no, "invalid JSON")
-                    continue
-                if not isinstance(raw, dict):
-                    report.reject(line_no, "record is not an object")
-                    continue
-                doc = _parse_record(raw, line_no, cfg, seen, report)
-                if doc is not None:
-                    report.loaded += 1
-                    yield doc
-        else:
-            reader = csv.reader(fh)
-            fields = next(reader, [])
-            end = reader.line_num
-            for row in reader:
-                # a quoted field may span lines: a record starts on the line
-                # after the previous record's last one
-                start, end = end + 1, reader.line_num
-                if not row:  # a blank line
-                    continue
-                report.records += 1
-                if len(row) != len(fields):
-                    report.reject(start, f"expected {len(fields)} cells, got {len(row)}")
-                    continue
-                doc = _parse_record(dict(zip(fields, row)), start, cfg, seen, report)
-                if doc is not None:
-                    report.loaded += 1
-                    yield doc
+    dates: dict[str, date | None] = {}
+    with path.open("rb") as fh:
+        # the byte-order mark some editors write at the start is not text
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        for where, position, raw in _records(fh, cfg, path, positions):
+            report.records += 1
+            if isinstance(raw, str):
+                report.reject(where, raw)
+                continue
+            doc = _parse_record(raw, where, position, cfg, seen, dates, report)
+            if doc is not None:
+                report.loaded += 1
+                yield doc
 
 
 def build_windows(start: date, end: date) -> list[TimeWindow]:
@@ -201,7 +297,7 @@ def build_windows(start: date, end: date) -> list[TimeWindow]:
 
 @dataclass
 class WindowAssignment:
-    by_window: dict[int, list[Document]]
+    by_window: dict[int, list]
     excluded: int
 
     @property
@@ -212,13 +308,15 @@ class WindowAssignment:
 def assign_windows(docs, windows: list[TimeWindow], end: date) -> WindowAssignment:
     """Bucket documents into ``windows``; out-of-range documents are counted.
 
-    ``windows`` is the run's grid, ``build_windows(start, end)``. Every
+    ``docs`` may be ``Document``s or anything else dated by a
+    ``published_at`` day, such as a run's ``IndexEntry``s; each window keeps
+    them in input order. ``windows`` is the run's grid, ``build_windows(start, end)``. Every
     document with start <= published_at < end lands in exactly one window
     regardless of input order, so shards of the corpus can be assigned
     independently and merged.
     """
     start = windows[0].start_date
-    by_window: dict[int, list[Document]] = {w.index: [] for w in windows}
+    by_window: dict[int, list] = {w.index: [] for w in windows}
     excluded = 0
     for doc in docs:
         if not (start <= doc.published_at < end):

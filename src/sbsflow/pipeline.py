@@ -26,6 +26,7 @@ import scipy
 from . import causality, series, textproc
 from .config import ConfigError, RunConfig, validate_config
 from .corpus import (
+    IndexEntry,
     IngestReport,
     TimeWindow,
     WindowAssignment,
@@ -109,26 +110,68 @@ def score_window(
     return network.sbs(graph, prev, keywords)
 
 
+def _file_stamp(path: Path) -> tuple[int, int]:
+    st = path.stat()
+    return st.st_size, st.st_mtime_ns
+
+
+def _score_indexed_window(
+    entries: list[IndexEntry],
+    window_index: int,
+    *,
+    cfg: RunConfig,
+    stamp: tuple[int, int],
+    canonical: CanonicalMap,
+    keywords: list[str],
+) -> list[SbsScore]:
+    """Read one window's records at their ``entries``' positions and score
+    them, refusing a corpus that is not the one ingest indexed: its size
+    and modification time must still be ``stamp``, and each record must
+    still load with the id ingest read there."""
+    path = cfg.corpus_path
+    changed = f"corpus {path} changed after ingest; score again"
+    if _file_stamp(path) != stamp:
+        raise PipelineError(f"{changed} (its size or modification time differs)")
+    report = IngestReport()
+    texts, ids = [], []
+    for doc in load_corpus(path, cfg.ingest, report, positions=[e.position for e in entries]):
+        texts.append(doc.text(cfg.include_title))
+        ids.append(doc.id)
+    if report.rejects:
+        position, reason = report.rejects[0]
+        raise PipelineError(f"{changed} (the record at byte {position} no longer loads: {reason})")
+    for entry, doc_id in zip(entries, ids):
+        if doc_id != entry.id:
+            raise PipelineError(
+                f"{changed} (the record at byte {entry.position} has id {doc_id!r}, not {entry.id!r})"
+            )
+    return score_window(
+        texts,
+        window_index,
+        canonical,
+        keywords,
+        window_size=cfg.window_size,
+        min_edge_weight=cfg.min_edge_weight,
+    )
+
+
 def _score_windows(
     windows: list[TimeWindow],
     assignment: WindowAssignment,
+    stamp: tuple[int, int],
     canonical: CanonicalMap,
     keywords: list[str],
     cfg: RunConfig,
     workers: int,
 ) -> list[list[SbsScore]]:
-    """Each window's scores, in window order, one window per task; each
-    worker process gets one copy of the map and its token memo."""
+    """Each window's scores, in window order, one window per task. A task
+    carries the window's index entries, and the process that scores it
+    reads the texts; each worker process gets one copy of the map and its
+    token memo."""
     indices = [w.index for w in windows]
-    texts = [[d.text(cfg.include_title) for d in assignment.by_window[idx]] for idx in indices]
-    score = partial(
-        score_window,
-        canonical=canonical,
-        keywords=keywords,
-        window_size=cfg.window_size,
-        min_edge_weight=cfg.min_edge_weight,
-    )
-    return causality.map_in_workers(score, texts, indices, workers=workers)
+    score = partial(_score_indexed_window, cfg=cfg, stamp=stamp, canonical=canonical, keywords=keywords)
+    entries = [assignment.by_window[idx] for idx in indices]
+    return causality.map_in_workers(score, entries, indices, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +339,17 @@ def run_pipeline(
             from . import network  # noqa: F401
 
             with stage("ingest"):
+                # one pass validates every record, since a duplicate id can
+                # come anywhere in the file; only each accepted record's id,
+                # day and position are kept, and the scoring stage reads
+                # a window's texts again where it scores the window
                 report = IngestReport()
-                docs = list(load_corpus(cfg.corpus_path, cfg.ingest, report))
-                assignment = assign_windows(docs, windows, cfg.end_date)
+                stamp = _file_stamp(cfg.corpus_path)
+                index = [
+                    IndexEntry(doc.id, doc.published_at, doc.position)
+                    for doc in load_corpus(cfg.corpus_path, cfg.ingest, report)
+                ]
+                assignment = assign_windows(index, windows, cfg.end_date)
                 manifest["corpus"] = {
                     "records": report.records,
                     "loaded": report.loaded,
@@ -316,7 +367,9 @@ def run_pipeline(
                         f"{first.index}..{last.index} "
                         f"({first.start_date.isoformat()}..{last.end_date.isoformat()})"
                     )
-                scores_by_window = _score_windows(windows, assignment, canonical, keywords, cfg, workers)
+                scores_by_window = _score_windows(
+                    windows, assignment, stamp, canonical, keywords, cfg, workers
+                )
 
             with stage("write_scores"):
                 artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(starts, scores_by_window)))

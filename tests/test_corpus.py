@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sbsflow import corpus
 from sbsflow.corpus import (
     CorpusError,
     Document,
@@ -231,6 +234,187 @@ class TestLoadCorpus:
         cfg = IngestConfig(date_format="%d/%m/%Y")
         docs = list(load_corpus(p, cfg))
         assert docs[0].published_at == date(2020, 2, 1)
+
+    @pytest.mark.parametrize(
+        "header, missing",
+        [
+            ("id,date,title,content", "'body'; name the file's columns in corpus.fields.body,"),
+            ("id,date,body", "'title'; name the file's columns in corpus.fields.title,"),
+            ("date,text", "'id', 'title', 'body'; name the file's columns in "
+             "corpus.fields.id, corpus.fields.title, corpus.fields.body,"),
+            ("", "'id', 'date', 'title', 'body';"),
+        ],
+        ids=["body", "title", "three", "no_header"],
+    )
+    def test_csv_header_without_a_configured_column_refused(self, tmp_path, header, missing):
+        # a header without the body column used to load every record with an empty body
+        p = tmp_path / "c.csv"
+        p.write_text(f"{header}\n" + ("d0,2020-01-01,t0,b0\n" if header else ""))
+        with pytest.raises(CorpusError, match="lacks the column") as err:
+            list(load_corpus(p, IngestConfig(format="csv")))
+        assert missing in str(err.value)
+        assert str(p) in str(err.value)
+
+    def test_each_distinct_date_string_is_parsed_once(self, tmp_path, monkeypatch):
+        parsed = []
+
+        class CountingDatetime(datetime):
+            @classmethod
+            def strptime(cls, text, fmt):
+                parsed.append(text)
+                return datetime.strptime(text, fmt)
+
+        monkeypatch.setattr(corpus, "datetime", CountingDatetime)
+        p = tmp_path / "c.jsonl"
+        days = ["2020-01-01", " 2020-01-01", "2020-01-02", "2020-01-01 ", "2020-02-30", " 2020-02-30 "]
+        write_jsonl(p, [make_record(i, day) for i, day in enumerate(days)])
+        report = IngestReport()
+        docs = list(load_corpus(p, report=report))
+        assert sorted(parsed) == ["2020-01-01", "2020-01-02", "2020-02-30"]
+        assert [d.published_at for d in docs] == [date(2020, 1, 1), date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 1)]
+        # a string that does not parse is named as each record spells it
+        assert report.rejects == [(5, "unparseable date '2020-02-30'"), (6, "unparseable date ' 2020-02-30 '")]
+
+
+def every_reject_corpus(fmt: str) -> bytes:
+    """A corpus with every kind of reject, lone-CR and CRLF line ends, a
+    byte-order mark (CSV) and bodies whose quoted fields span lines."""
+    ok = {"title": "t", "body": "b"}
+    if fmt == "jsonl":
+        lines = [
+            (json.dumps({"id": "d1", "date": "2020-01-01", **ok}), "\n"),
+            ("   ", "\n"),
+            ("not json", "\r\n"),
+            ("[1, 2]", "\n"),
+            (json.dumps({"id": True, "date": "2020-01-01", **ok}), "\n"),
+            (json.dumps({"id": ["a"], "date": "2020-01-01", **ok}), "\n"),
+            (json.dumps({"id": "x1", "date": "2020-01-01", "title": 7, "body": "b"}), "\r"),
+            (json.dumps({"id": "x2", "date": "2020-01-01", "title": "t", "body": {"k": 1}}), "\n"),
+            ('{"id": NaN, "date": "2020-01-01"}', "\n"),
+            (json.dumps({"id": " ", "date": "2020-01-01", **ok}), "\n"),
+            (json.dumps({"id": "d1", "date": "2020-01-02", **ok}), "\n"),
+            (json.dumps({"id": "d2", **ok}), "\n"),
+            (json.dumps({"id": "d3", "date": " 2020-13-01", **ok}), "\n"),
+            (json.dumps({"id": "d4", "date": "2020-13-01 ", **ok}), "\r\n"),
+            (json.dumps({"id": "d5", "date": " 2020-01-02 ", "title": None, "body": "caffe\u0301 \u00e8"}), "\r"),
+            (json.dumps({"id": 7, "date": "2020-01-02", "title": "line\u2028sep", "body": None}), ""),
+        ]
+        return "".join(line + end for line, end in lines).encode("utf-8")
+    text = (
+        "id,date,title,body\r\n"
+        'a,2020-01-01,T,"first\r\nsecond"\r\n'
+        "\r\n"
+        ",2020-01-02,T,B\r\n"
+        "b,bad,T,B\r\n"
+        "c,2020-01-03,T\r\n"
+        "a,2020-01-03,T,B\r\n"
+        "d,,T,B\r\n"
+        'e,2020-01-04,T,"x\ny"\r\n'
+        "f, 2020-01-05 ,,caffe\u0301\r\n"
+        'g,bad ,T,"q ""quoted"" \r\n\r\n"\r\n'
+    )
+    return b"\xef\xbb\xbf" + text.encode("utf-8")
+
+
+# (records, loaded, documents, rejects) of every_reject_corpus, line by line
+EVERY_REJECT_REPORT = {
+    "jsonl": (
+        15,
+        3,
+        [("d1", "2020-01-01", "t", "b"), ("d5", "2020-01-02", "", "caffe\u0301 \u00e8"), ("7", "2020-01-02", "line\u2028sep", "")],
+        [
+            (3, "invalid JSON"),
+            (4, "record is not an object"),
+            (5, "'id' must be a string or a number, got a boolean"),
+            (6, "'id' must be a string or a number, got an array"),
+            (7, "'title' must be a string or null, got a number"),
+            (8, "'body' must be a string or null, got an object"),
+            (9, "'id' must be a finite number, got nan"),
+            (10, "missing or empty 'id'"),
+            (11, "duplicate id 'd1'"),
+            (12, "missing 'date'"),
+            (13, "unparseable date ' 2020-13-01'"),
+            (14, "unparseable date '2020-13-01 '"),
+        ],
+    ),
+    "csv": (
+        9,
+        3,
+        [("a", "2020-01-01", "T", "first\r\nsecond"), ("e", "2020-01-04", "T", "x\ny"), ("f", "2020-01-05", "", "caffe\u0301")],
+        [
+            (5, "missing or empty 'id'"),
+            (6, "unparseable date 'bad'"),
+            (7, "expected 4 cells, got 3"),
+            (8, "duplicate id 'a'"),
+            (9, "missing 'date'"),
+            (13, "unparseable date 'bad '"),
+        ],
+    ),
+}
+
+
+class TestPositions:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_every_kind_of_reject_keeps_its_count_and_line(self, tmp_path, fmt):
+        p = tmp_path / f"c.{fmt}"
+        p.write_bytes(every_reject_corpus(fmt))
+        report = IngestReport()
+        docs = list(load_corpus(p, IngestConfig(format=fmt), report))
+        got = [(d.id, d.published_at.isoformat(), d.title, d.body) for d in docs]
+        assert (report.records, report.loaded, got, report.rejects) == EVERY_REJECT_REPORT[fmt]
+        # each accepted record is read again, and alone, at its position
+        again = IngestReport()
+        assert list(load_corpus(p, IngestConfig(format=fmt), again, positions=[d.position for d in docs])) == docs
+        assert again.rejects == []
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_positions_are_where_the_records_start(self, tmp_path, fmt):
+        p = tmp_path / f"c.{fmt}"
+        p.write_bytes(every_reject_corpus(fmt))
+        data = p.read_bytes()
+        docs = list(load_corpus(p, IngestConfig(format=fmt)))
+        starts = {"jsonl": [b'{"id": "d1"', b'{"id": "d5"', b'{"id": 7'], "csv": [b"a,2020-01-01", b"e,2020", b"f, 2020"]}[fmt]
+        assert [d.position for d in docs] == [data.index(start) for start in starts]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_a_position_where_no_record_starts_is_rejected_at_that_byte(self, tmp_path, fmt):
+        p = tmp_path / f"c.{fmt}"
+        p.write_bytes(every_reject_corpus(fmt))
+        docs = list(load_corpus(p, IngestConfig(format=fmt)))
+        end = p.stat().st_size
+        report = IngestReport()
+        # read in the order given, not in file order
+        positions = [docs[2].position, end, docs[0].position]
+        assert list(load_corpus(p, IngestConfig(format=fmt), report, positions=positions)) == [docs[2], docs[0]]
+        assert report.rejects == [(end, "no record starts here")]
+        assert report.records == 3
+
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.text(alphabet="ab é\u0301,\"\r\n", max_size=8),
+                st.text(alphabet="ab é\u0301,\"\r\n.", max_size=20),
+            ),
+            max_size=8,
+        ),
+        line_end=st.sampled_from(["\n", "\r\n"]),
+        bom=st.booleans(),
+    )
+    def test_every_document_reads_back_alone_at_its_position(self, tmp_path_factory, records, line_end, bom):
+        tmp_path = tmp_path_factory.mktemp("positions")
+        rows = [(f"d{i}", "2020-01-01", title, body) for i, (title, body) in enumerate(records)]
+        texts = {"jsonl": "".join(json.dumps(dict(zip(("id", "date", "title", "body"), row))) + line_end for row in rows)}
+        out = io.StringIO()
+        # quoted throughout, since a cell holding a lone \r is otherwise left bare
+        csv.writer(out, lineterminator=line_end, quoting=csv.QUOTE_ALL).writerows([("id", "date", "title", "body"), *rows])
+        texts["csv"] = out.getvalue()
+        for fmt, text in texts.items():
+            p = tmp_path / f"c.{fmt}"
+            p.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
+            docs = list(load_corpus(p, IngestConfig(format=fmt)))
+            assert [(d.id, d.title, d.body) for d in docs] == [(i, t, b) for i, _, t, b in rows]
+            for doc in reversed(docs):
+                assert list(load_corpus(p, IngestConfig(format=fmt), positions=[doc.position])) == [doc]
 
 
 def assign(docs, start, end):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -741,6 +742,122 @@ class TestStaleScoreDump:
         assert manifest["failed_stage"] == manifest["stages"][-1]["stage"] == "read_scores"
         assert manifest["artifacts"] == []
         assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+
+class TestCorpusChangedAfterIngest:
+    """Scoring reads each window's records again at the positions ingest
+    indexed, and refuses a corpus that is no longer the one it indexed."""
+
+    def _score_after(self, fixture, tmp_path, monkeypatch, rewrite, workers=1):
+        corpus = tmp_path / "corpus.jsonl"
+        shutil.copyfile(fixture.corpus_path, corpus)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(_rewritten_config(fixture, corpus=corpus, out=tmp_path / "out"))
+        assign = pipeline.assign_windows
+
+        def rewrite_then_assign(*args, **kwargs):
+            # between the ingest pass and the first window's read
+            before = corpus.stat()
+            corpus.write_bytes(rewrite(corpus.read_bytes()))
+            # an edit that keeps the size and the modification time leaves
+            # the check of each re-read record to catch it
+            if corpus.stat().st_size == before.st_size:
+                os.utime(corpus, ns=(before.st_atime_ns, before.st_mtime_ns))
+            return assign(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "assign_windows", rewrite_then_assign)
+        with pytest.raises(PipelineError, match=f"corpus {corpus} changed after ingest") as err:
+            run_pipeline(validate_config(config), workers=workers, stage_mode="score")
+        manifest = json.loads((tmp_path / "out" / MANIFEST_JSON).read_text())
+        assert manifest["failed_stage"] == manifest["stages"][-1]["stage"] == "scores"
+        assert not (tmp_path / "out" / SCORES_CSV).exists()
+        return str(err.value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_grown_corpus_is_refused(self, fixture, tmp_path, monkeypatch, workers):
+        grow = lambda data: data + b'{"id": "late", "date": "2021-01-04", "title": "t", "body": "b"}\n'
+        message = self._score_after(fixture, tmp_path, monkeypatch, grow, workers)
+        assert "its size or modification time differs" in message
+
+    def test_swapped_ids_are_refused_at_an_unchanged_size_and_time(self, fixture, tmp_path, monkeypatch):
+        swap = lambda data: data.replace(b"doc-00000", b"doc-swap0").replace(b"doc-00001", b"doc-00000").replace(
+            b"doc-swap0", b"doc-00001"
+        )
+        message = self._score_after(fixture, tmp_path, monkeypatch, swap)
+        assert "has id 'doc-00001', not 'doc-00000'" in message
+
+    def test_a_record_that_no_longer_loads_is_refused(self, fixture, tmp_path, monkeypatch):
+        # the first record's opening brace becomes a space
+        message = self._score_after(fixture, tmp_path, monkeypatch, lambda data: b" " + data[1:])
+        assert "the record at byte 0 no longer loads: invalid JSON" in message
+
+
+def _corpus_in_both_formats(fx, root: Path) -> dict[str, Path]:
+    """The fixture's records as JSON Lines and as CSV. Some bodies hold a
+    newline and NFD accents; the CSV has CRLF line ends and a byte-order
+    mark, so those bodies are quoted fields that span lines."""
+    records = [json.loads(line) for line in fx.corpus_path.read_text(encoding="utf-8").splitlines()]
+    for i, rec in enumerate(records):
+        if i % 3 == 0:
+            rec["body"] = rec["body"].replace(" ", "\n", 2)
+        if i % 4 == 0:
+            rec["body"] += " Caffe\u0301 citta\u0300 economy\n"
+    paths = {"jsonl": root / "corpus.jsonl", "csv": root / "corpus.csv"}
+    paths["jsonl"].write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    columns = ["id", "date", "title", "body", "source"]
+    with paths["csv"].open("w", encoding="utf-8-sig", newline="") as fh:
+        writer = csv.writer(fh)  # CRLF line ends
+        writer.writerow(columns)
+        writer.writerows([rec[c] for c in columns] for rec in records)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def two_format_fixture(tmp_path_factory):
+    fx = make_fixture(tmp_path_factory.mktemp("formats"), seed=21, n_docs=160, n_months=4)
+    return fx, _corpus_in_both_formats(fx, fx.root)
+
+
+# sha256 of the five data artifacts of two_format_fixture, whatever the
+# corpus format, the worker count and the pool's start method
+TWO_FORMAT_SHA256 = {
+    SCORES_CSV: "ca35cc191ca49c021866c91155b4168e5d70c7c5d2f0b393abbbd250dd282aa9",
+    WEEKLY_CSV: "c425d7027d3022dbd1978ae5b787beca61fc5183b64238daa2d0713259e0ddb9",
+    GRANGER_CSV: "7975a7b7dbccf334faab6f25c8e29b64bc2ca12fe9f1a9873449d9fa0afd2603",
+    QUESTIONS_CSV: "55e8a184d7acae3b9e13a6455da3cd997e6090de727e136cc69b08de7ab21ce5",
+    PLOT_CSV: "7dc0330a3d6621a994992bbcaf8034d9c8ef99b38d429af4548786c2d6cb45e7",
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, workers, start_method",
+    [
+        ("jsonl", 1, None),
+        ("csv", 1, None),
+        ("jsonl", 2, None),
+        ("csv", 2, None),
+        ("csv", "more than windows", None),
+        ("csv", 2, "spawn"),
+        ("csv", 2, "forkserver"),
+    ],
+)
+def test_artifacts_do_not_depend_on_corpus_format_or_workers(
+    two_format_fixture, tmp_path, monkeypatch, fmt, workers, start_method
+):
+    fx, corpora = two_format_fixture
+    if start_method is not None:
+        if start_method not in START_METHODS:
+            pytest.skip(f"no {start_method} start method on this platform")
+        _pool_with(monkeypatch, start_method)
+    conf = yaml.safe_load(_rewritten_config(fx, corpus=corpora[fmt], out=tmp_path))
+    conf["corpus"]["format"] = fmt
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(conf))
+    workers = fx.n_windows + 1 if workers == "more than windows" else workers
+    manifest = run_pipeline(validate_config(config), workers=workers)
+    assert manifest["corpus"]["loaded"] == fx.n_docs
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    assert digests == TWO_FORMAT_SHA256
 
 
 class TestCli:

@@ -19,8 +19,8 @@ _EXPORTS = {
     ),
     "config": ("ConfigError", "RunConfig", "validate_config"),
     "corpus": (
-        "CorpusError", "Document", "IngestConfig", "IngestReport", "TimeWindow",
-        "assign_windows", "build_windows", "load_corpus",
+        "CorpusError", "Document", "IngestConfig", "IngestReport", "assign_windows",
+        "build_windows", "load_corpus",
     ),
     "keywords": (
         "CanonicalMap", "KeywordSet", "RegistryError", "compile_canonical_map",

@@ -22,15 +22,16 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 __all__ = [
     "Document",
     "IndexEntry",
-    "TimeWindow",
     "IngestConfig",
     "IngestReport",
-    "WindowAssignment",
     "CorpusError",
     "load_corpus",
     "build_windows",
     "assign_windows",
 ]
+
+
+WEEK = timedelta(days=7)
 
 
 class CorpusError(ValueError):
@@ -63,15 +64,6 @@ class IndexEntry(NamedTuple):
     position: int
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """Half-open 7-day window [start_date, end_date)."""
-
-    index: int
-    start_date: date
-    end_date: date
-
-
 @dataclass
 class IngestConfig:
     """Field mapping and date format for JSON Lines or CSV corpora."""
@@ -92,9 +84,6 @@ class IngestReport:
     loaded: int = 0
     rejects: list[tuple[int, str]] = field(default_factory=list)
 
-    def reject(self, line_no: int, reason: str) -> None:
-        self.rejects.append((line_no, reason))
-
 
 # what a JSON Lines field holds when it is not a string, as JSON names it
 _JSON_KINDS = {bool: "a boolean", int: "a number", float: "a number", list: "an array", dict: "an object"}
@@ -104,14 +93,9 @@ _COLUMNS = (("id", "id_field"), ("date", "date_field"), ("title", "title_field")
 
 
 def _parse_record(
-    raw: dict,
-    line_no: int,
-    position: int,
-    cfg: IngestConfig,
-    seen: set[str],
-    dates: dict[str, date | None],
-    report: IngestReport,
-) -> Document | None:
+    raw: dict, position: int, cfg: IngestConfig, seen: set[str], dates: dict[str, date | None]
+) -> Document | str:
+    """The document in a record, or why it is rejected."""
     for name, kinds, wanted in (
         (cfg.id_field, (str, int, float), "a string or a number"),
         (cfg.title_field, str, "a string or null"),
@@ -119,25 +103,20 @@ def _parse_record(
     ):
         value = raw.get(name)
         if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
-            report.reject(line_no, f"{name!r} must be {wanted}, got {_JSON_KINDS[type(value)]}")
-            return None
+            return f"{name!r} must be {wanted}, got {_JSON_KINDS[type(value)]}"
     raw_id = raw.get(cfg.id_field)
     # json.loads reads NaN, Infinity and an overflowing 1e400 as floats
     if isinstance(raw_id, float) and not math.isfinite(raw_id):
-        report.reject(line_no, f"{cfg.id_field!r} must be a finite number, got {raw_id!r}")
-        return None
+        return f"{cfg.id_field!r} must be a finite number, got {raw_id!r}"
     doc_id = "" if raw_id is None else str(raw_id).strip()
     if not doc_id:
-        report.reject(line_no, f"missing or empty {cfg.id_field!r}")
-        return None
+        return f"missing or empty {cfg.id_field!r}"
     if doc_id in seen:
-        report.reject(line_no, f"duplicate id {doc_id!r}")
-        return None
+        return f"duplicate id {doc_id!r}"
     raw_date = raw.get(cfg.date_field)
     key = "" if raw_date is None else str(raw_date).strip()
     if not key:
-        report.reject(line_no, f"missing {cfg.date_field!r}")
-        return None
+        return f"missing {cfg.date_field!r}"
     # a corpus repeats few distinct dates over many records: parse each once
     if key not in dates:
         try:
@@ -146,8 +125,7 @@ def _parse_record(
             dates[key] = None
     day = dates[key]
     if day is None:
-        report.reject(line_no, f"unparseable date {raw_date!r}")
-        return None
+        return f"unparseable date {raw_date!r}"
     seen.add(doc_id)
     return Document(
         id=doc_id,
@@ -272,56 +250,49 @@ def load_corpus(
             fh.seek(0)
         for where, position, raw in _records(fh, cfg, path, positions):
             report.records += 1
-            if isinstance(raw, str):
-                report.reject(where, raw)
-                continue
-            doc = _parse_record(raw, where, position, cfg, seen, dates, report)
-            if doc is not None:
+            doc = raw if isinstance(raw, str) else _parse_record(raw, position, cfg, seen, dates)
+            if isinstance(doc, str):
+                report.rejects.append((where, doc))
+            else:
                 report.loaded += 1
                 yield doc
 
 
-def build_windows(start: date, end: date) -> list[TimeWindow]:
-    """Consecutive 7-day windows covering [start, end); the last may overhang."""
+def build_windows(start: date, end: date) -> list[date]:
+    """The start days of consecutive 7-day windows covering [start, end).
+
+    Window ``i`` is ``[starts[i], starts[i] + 7 days)``: its position in the
+    list is its index, and the last window may overhang ``end``.
+    """
     if start >= end:
         raise CorpusError(f"start date {start} must precede end date {end}")
-    windows = []
-    index = 0
-    cursor = start
-    while cursor < end:
-        windows.append(TimeWindow(index, cursor, cursor + timedelta(days=7)))
-        cursor += timedelta(days=7)
-        index += 1
-    return windows
+    return [start + i * WEEK for i in range(math.ceil((end - start).days / 7))]
 
 
-@dataclass
-class WindowAssignment:
-    by_window: dict[int, list]
-    excluded: int
+def assign_windows(docs, starts: list[date], end: date) -> tuple[list[list], int]:
+    """Bucket documents into the windows starting at ``starts``.
 
-    @property
-    def assigned(self) -> int:
-        return sum(len(v) for v in self.by_window.values())
-
-
-def assign_windows(docs, windows: list[TimeWindow], end: date) -> WindowAssignment:
-    """Bucket documents into ``windows``; out-of-range documents are counted.
-
-    ``docs`` may be ``Document``s or anything else dated by a
-    ``published_at`` day, such as a run's ``IndexEntry``s; each window keeps
-    them in input order. ``windows`` is the run's grid, ``build_windows(start, end)``. Every
-    document with start <= published_at < end lands in exactly one window
-    regardless of input order, so shards of the corpus can be assigned
-    independently and merged.
+    Returns the documents of each window, in the order of ``starts``, and
+    the number dated outside [starts[0], end). ``docs`` may be ``Document``s
+    or anything else dated by a ``published_at`` day, such as a run's
+    ``IndexEntry``s; each window keeps them in input order. ``starts`` is a
+    grid of consecutive 7-day windows, ``build_windows(start, end)`` or a
+    slice of one, and ``end`` must fall inside it. Every document with
+    starts[0] <= published_at < end lands in exactly one window regardless
+    of input order, so shards of the corpus can be assigned independently
+    and merged.
     """
-    start = windows[0].start_date
-    by_window: dict[int, list] = {w.index: [] for w in windows}
+    first, stop = starts[0], starts[-1] + WEEK
+    if not first < end <= stop:
+        raise CorpusError(
+            f"end {end} is outside the window grid: it must come after the grid's first day "
+            f"{first} and at most one day after its last day {stop - timedelta(days=1)}"
+        )
+    by_window: list[list] = [[] for _ in starts]
     excluded = 0
     for doc in docs:
-        if not (start <= doc.published_at < end):
+        if first <= doc.published_at < end:
+            by_window[(doc.published_at - first).days // 7].append(doc)
+        else:
             excluded += 1
-            continue
-        idx = (doc.published_at - start).days // 7
-        by_window[idx].append(doc)
-    return WindowAssignment(by_window=by_window, excluded=excluded)
+    return by_window, excluded

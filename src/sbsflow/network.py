@@ -100,10 +100,6 @@ class WordGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def degree(self, token: str) -> int:
-        """Distinct-neighbor count of a node."""
-        return len(self.adj[self.index[token]])
-
     def neighbors(self, token: str) -> list[str]:
         return [self.nodes[j] for j, _ in self.adj[self.index[token]]]
 

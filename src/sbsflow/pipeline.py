@@ -25,15 +25,7 @@ import scipy
 
 from . import causality, series, textproc
 from .config import ConfigError, RunConfig, validate_config
-from .corpus import (
-    IndexEntry,
-    IngestReport,
-    TimeWindow,
-    WindowAssignment,
-    assign_windows,
-    build_windows,
-    load_corpus,
-)
+from .corpus import WEEK, IndexEntry, IngestReport, assign_windows, build_windows, load_corpus
 from .keywords import CanonicalMap, compile_canonical_map, load_stopwords, parse_registry
 from .series import WeeklySeries
 from .stemming import get_stemmer
@@ -153,25 +145,6 @@ def _score_indexed_window(
         window_size=cfg.window_size,
         min_edge_weight=cfg.min_edge_weight,
     )
-
-
-def _score_windows(
-    windows: list[TimeWindow],
-    assignment: WindowAssignment,
-    stamp: tuple[int, int],
-    canonical: CanonicalMap,
-    keywords: list[str],
-    cfg: RunConfig,
-    workers: int,
-) -> list[list[SbsScore]]:
-    """Each window's scores, in window order, one window per task. A task
-    carries the window's index entries, and the process that scores it
-    reads the texts; each worker process gets one copy of the map and its
-    token memo."""
-    indices = [w.index for w in windows]
-    score = partial(_score_indexed_window, cfg=cfg, stamp=stamp, canonical=canonical, keywords=keywords)
-    entries = [assignment.by_window[idx] for idx in indices]
-    return causality.map_in_workers(score, entries, indices, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +302,9 @@ def run_pipeline(
             keywords = sorted(s.label for s in sets)
             canonical = compile_canonical_map(sets, stemmer, stopwords, cfg.min_token_len)
 
-        # the run's one window grid: windows 0..len(windows)-1 x keywords
-        windows = build_windows(cfg.start_date, cfg.end_date)
-        starts = [w.start_date.isoformat() for w in windows]
+        # the run's one window grid, the start day of each window 0..len(starts)-1
+        starts = build_windows(cfg.start_date, cfg.end_date)
+        week_starts = [start.isoformat() for start in starts]
         if stage_mode in ("run", "score"):
             # scoring needs network and so scipy.sparse; they are imported
             # here, before the timed stages and before the scoring pool
@@ -349,30 +322,35 @@ def run_pipeline(
                     IndexEntry(doc.id, doc.published_at, doc.position)
                     for doc in load_corpus(cfg.corpus_path, cfg.ingest, report)
                 ]
-                assignment = assign_windows(index, windows, cfg.end_date)
+                by_window, excluded = assign_windows(index, starts, cfg.end_date)
+                assigned = sum(map(len, by_window))
                 manifest["corpus"] = {
                     "records": report.records,
                     "loaded": report.loaded,
                     "rejected": len(report.rejects),
-                    "excluded_out_of_range": assignment.excluded,
-                    "assigned": assignment.assigned,
-                    "windows": len(windows),
+                    "excluded_out_of_range": excluded,
+                    "assigned": assigned,
+                    "windows": len(starts),
                 }
 
             with stage("scores"):
-                if assignment.assigned == 0:
-                    first, last = windows[0], windows[-1]
+                if assigned == 0:
                     raise PipelineError(
-                        "no documents fell into any analysis window "
-                        f"{first.index}..{last.index} "
-                        f"({first.start_date.isoformat()}..{last.end_date.isoformat()})"
+                        f"no documents fell into any analysis window 0..{len(starts) - 1} "
+                        f"({starts[0].isoformat()}..{(starts[-1] + WEEK).isoformat()})"
                     )
-                scores_by_window = _score_windows(
-                    windows, assignment, stamp, canonical, keywords, cfg, workers
+                # one window per task: a task carries the window's index
+                # entries, and the process that scores it reads the texts;
+                # each worker process gets one copy of the map and its token memo
+                score = partial(
+                    _score_indexed_window, cfg=cfg, stamp=stamp, canonical=canonical, keywords=keywords
+                )
+                scores_by_window = causality.map_in_workers(
+                    score, by_window, range(len(starts)), workers=workers
                 )
 
             with stage("write_scores"):
-                artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(starts, scores_by_window)))
+                artifacts.append(_write_csv(out / SCORES_CSV, _scores_rows(week_starts, scores_by_window)))
 
         if stage_mode in ("run", "test"):
             with stage("read_scores"):
@@ -381,7 +359,7 @@ def run_pipeline(
                     raise PipelineError(
                         f"stage 'test' needs a previous score dump at {scores_path}"
                     )
-                sbs_series = _read_scores_csv(scores_path, starts, keywords)
+                sbs_series = _read_scores_csv(scores_path, week_starts, keywords)
 
             with stage("targets"):
                 monthly = series.load_monthly(cfg.monthly_path)
@@ -397,9 +375,9 @@ def run_pipeline(
                         f"monthly target file lacks configured series: {missing}"
                     )
                 wanted = climate_set | question_set
-                weekly = [series.disaggregate(m, windows) for m in monthly if m.name in wanted]
+                weekly = [series.disaggregate(m, starts) for m in monthly if m.name in wanted]
                 weekly_by_name = {w.name: w for w in weekly}
-                artifacts.append(_write_csv(out / WEEKLY_CSV, _weekly_rows(starts, weekly)))
+                artifacts.append(_write_csv(out / WEEKLY_CSV, _weekly_rows(week_starts, weekly)))
 
             with stage("causality"):
                 climate = [weekly_by_name[n] for n in climate_names]
@@ -414,7 +392,7 @@ def run_pipeline(
                 artifacts.append(_write_csv(out / GRANGER_CSV, _granger_rows(main_rows), caveat=True))
                 question_table = _questions_rows(question_rows, cfg.question_targets)
                 artifacts.append(_write_csv(out / QUESTIONS_CSV, question_table, caveat=True))
-                plot_table = _plot_rows(starts, sbs_series, climate + questions)
+                plot_table = _plot_rows(week_starts, sbs_series, climate + questions)
                 artifacts.append(_write_csv(out / PLOT_CSV, plot_table))
     except Exception:
         manifest["status"] = "failed"

@@ -1,10 +1,11 @@
 """Monthly target indices and their disaggregation to the weekly grid.
 
-A monthly series is pinned to the window grid at one knot per month: the
-first window whose start date falls inside that month (the survey runs in
-the first half of the month, so the weekly series is consistent with the
-monthly value there). A natural cubic spline through the knots supplies
-the remaining weekly values; it passes through every knot exactly.
+A monthly series is pinned to the window grid, the list of window start
+days, at one knot per month: the first window that starts inside that
+month (the survey runs in the first half of the month, so the weekly
+series is consistent with the monthly value there). A natural cubic
+spline through the knots supplies the remaining weekly values; it passes
+through every knot exactly.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_banded
-
-from .corpus import TimeWindow
 
 __all__ = [
     "MonthlySeries",
@@ -62,10 +61,10 @@ def _next_month(d: date) -> date:
 def load_monthly(path: str | Path) -> list[MonthlySeries]:
     """Parse ``month,series1,series2,...`` CSV with YYYY-MM months.
 
-    Blank or repeated series names, month cells other than ASCII digits
-    around one ``-``, month gaps, duplicate months and non-numeric cells
-    (``_`` digit separators included) are fatal, reported with their row
-    and column.
+    Blank or repeated series names, names holding a carriage return, month
+    cells other than ASCII digits around one ``-``, month gaps, duplicate
+    months and non-numeric cells (``_`` digit separators included) are
+    fatal, reported with their row and column.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark some editors write at the start
@@ -84,6 +83,11 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
             if not name or len(cols) > 1:
                 what = "a blank series name" if not name else f"series {name!r} repeated"
                 raise SeriesError(f"{path}: header has {what} in columns {cols}")
+            # the artifact writers leave a lone \r unquoted, and a reader splits the row there
+            if "\r" in name:
+                raise SeriesError(
+                    f"{path}: header has series {name!r} holding a carriage return in columns {cols}"
+                )
         months: list[date] = []
         columns: list[list[float]] = [[] for _ in names]
         for row_no, row in enumerate(reader, start=2):
@@ -127,15 +131,13 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
     ]
 
 
-def month_anchors(monthly: MonthlySeries, windows: list[TimeWindow]) -> list[int]:
-    """Knot index per month: the first window starting inside that month."""
+def month_anchors(monthly: MonthlySeries, starts: list[date]) -> list[int]:
+    """Knot per month: the position in ``starts`` of the first window
+    starting inside that month."""
     anchors = []
     for m in monthly.months:
         nxt = _next_month(m)
-        knot = next(
-            (w.index for w in windows if m <= w.start_date < nxt),
-            None,
-        )
+        knot = next((i for i, start in enumerate(starts) if m <= start < nxt), None)
         if knot is None:
             raise SeriesError(
                 f"series {monthly.name!r}: no window starts inside month {m:%Y-%m}; "
@@ -179,18 +181,19 @@ def _natural_spline(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarra
     return 0.0 + y[i] + s[i] * u + c1[i] * (u * u) + c0[i] * (u * u * u)
 
 
-def disaggregate(monthly: MonthlySeries, windows: list[TimeWindow]) -> WeeklySeries:
+def disaggregate(monthly: MonthlySeries, starts: list[date]) -> WeeklySeries:
     """Natural cubic spline through the month anchors, sampled per window.
 
-    The spline reproduces the monthly value exactly at each anchor and has
-    zero curvature at the end knots; windows beyond the anchored span take
-    the extension of the end segments.
+    Value ``i`` belongs to the window starting at ``starts[i]``. The spline
+    reproduces the monthly value exactly at each anchor and has zero
+    curvature at the end knots; windows beyond the anchored span take the
+    extension of the end segments.
     """
     if len(monthly) < 3:
         raise SeriesError(f"series {monthly.name!r}: need at least 3 monthly points, got {len(monthly)}")
-    knots = np.asarray(month_anchors(monthly, windows), dtype=float)
+    knots = np.asarray(month_anchors(monthly, starts), dtype=float)
     values = np.asarray(monthly.values, dtype=float)
-    grid = np.arange(len(windows), dtype=float)
+    grid = np.arange(len(starts), dtype=float)
     weekly = _natural_spline(knots, values, grid)
     return WeeklySeries(name=monthly.name, values=tuple(float(v) for v in weekly))
 

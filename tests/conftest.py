@@ -42,7 +42,7 @@ def one_row(fn, y, x, *args):
 def score_fixture(fx, language="english", stopwords_path=None):
     """Score a synthetic fixture with ``score_window``, one call per window.
 
-    Returns (windows, {keyword: WeeklySeries of composite scores}).
+    Returns (window start days, {keyword: WeeklySeries of composite scores}).
     """
     from sbsflow.keywords import fixture_path
 
@@ -56,17 +56,17 @@ def score_fixture(fx, language="english", stopwords_path=None):
     import yaml
 
     conf = yaml.safe_load(fx.config_path.read_text())
-    windows = build_windows(conf["start_date"], conf["end_date"])
-    assignment = assign_windows(docs, windows, conf["end_date"])
+    starts = build_windows(conf["start_date"], conf["end_date"])
+    by_window, _ = assign_windows(docs, starts, conf["end_date"])
     labels = sorted(s.label for s in sets)
     per_kw: dict[str, list[float]] = {kw: [] for kw in labels}
-    for w in windows:
-        texts = [d.text() for d in assignment.by_window[w.index]]
-        scores = score_window(texts, w.index, canonical, labels, window_size=3, min_edge_weight=1)
+    for idx, window_docs in enumerate(by_window):
+        texts = [d.text() for d in window_docs]
+        scores = score_window(texts, idx, canonical, labels, window_size=3, min_edge_weight=1)
         for score in scores:
             per_kw[score.keyword].append(score.sbs)
     out = {kw: WeeklySeries(name=kw, values=tuple(vals)) for kw, vals in per_kw.items()}
-    return windows, out
+    return starts, out
 
 
 @pytest.fixture

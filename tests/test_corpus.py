@@ -418,24 +418,25 @@ class TestPositions:
 
 
 def assign(docs, start, end):
-    """The run's grid for [start, end) and the documents bucketed into it."""
-    windows = build_windows(start, end)
-    return windows, assign_windows(docs, windows, end)
+    """The run's grid for [start, end), the documents bucketed into it and
+    the number excluded."""
+    starts = build_windows(start, end)
+    return (starts, *assign_windows(docs, starts, end))
 
 
 class TestWindows:
     def test_doc_on_start_lands_in_window_zero(self):
         start = date(2020, 1, 6)
         doc = Document("a", start, "", "")
-        _, out = assign([doc], start, start + timedelta(days=14))
-        assert out.by_window[0] == [doc]
+        _, by_window, _ = assign([doc], start, start + timedelta(days=14))
+        assert by_window[0] == [doc]
 
     def test_doc_on_start_plus_seven_lands_in_window_one(self):
         start = date(2020, 1, 6)
         doc = Document("a", start + timedelta(days=7), "", "")
-        _, out = assign([doc], start, start + timedelta(days=14))
-        assert out.by_window[1] == [doc]
-        assert out.by_window[0] == []
+        _, by_window, _ = assign([doc], start, start + timedelta(days=14))
+        assert by_window[1] == [doc]
+        assert by_window[0] == []
 
     def test_uniform_28_days_gives_four_equal_windows(self):
         start = date(2020, 3, 2)
@@ -444,13 +445,13 @@ class TestWindows:
             Document(f"d{i}", start + timedelta(days=(i % 4) * 7 + (i // 4) % 7), "", "")
             for i in range(100)
         ]
-        windows, out = assign(docs, start, start + timedelta(days=28))
-        assert len(windows) == 4
+        starts, by_window, _ = assign(docs, start, start + timedelta(days=28))
+        assert len(starts) == 4
         # oracle: brute-force date arithmetic per document
         expected = {i: 0 for i in range(4)}
         for d in docs:
             expected[(d.published_at - start).days // 7] += 1
-        assert {i: len(v) for i, v in out.by_window.items()} == expected == {0: 25, 1: 25, 2: 25, 3: 25}
+        assert {i: len(v) for i, v in enumerate(by_window)} == expected == {0: 25, 1: 25, 2: 25, 3: 25}
 
     def test_out_of_range_counted(self):
         start = date(2020, 1, 6)
@@ -459,31 +460,55 @@ class TestWindows:
             Document("late", start + timedelta(days=14), "", ""),
             Document("in", start + timedelta(days=3), "", ""),
         ]
-        _, out = assign(docs, start, start + timedelta(days=14))
-        assert out.excluded == 2
-        assert out.assigned == 1
+        _, by_window, excluded = assign(docs, start, start + timedelta(days=14))
+        assert excluded == 2
+        assert sum(map(len, by_window)) == 1
 
     def test_doc_in_the_overhang_of_the_last_window_excluded(self):
         # the last window runs past `end`; documents dated there stay out
         start = date(2020, 1, 6)
         docs = [Document("in", start + timedelta(days=9), "", ""),
                 Document("overhang", start + timedelta(days=12), "", "")]
-        windows, out = assign(docs, start, start + timedelta(days=10))
-        assert windows[-1].end_date == start + timedelta(days=14)
-        assert out.by_window == {0: [], 1: [docs[0]]}
-        assert out.excluded == 1
+        starts, by_window, excluded = assign(docs, start, start + timedelta(days=10))
+        assert starts[-1] + timedelta(days=7) == start + timedelta(days=14)
+        assert by_window == [[], [docs[0]]]
+        assert excluded == 1
 
     def test_start_after_end_fatal(self):
         with pytest.raises(CorpusError):
             build_windows(date(2020, 1, 6), date(2020, 1, 6))
 
     def test_windows_are_consecutive_7_day_blocks(self):
-        windows = build_windows(date(2020, 1, 6), date(2020, 3, 1))
-        for w in windows:
-            assert (w.end_date - w.start_date).days == 7
-        for prev, nxt in zip(windows, windows[1:]):
-            assert prev.end_date == nxt.start_date
-            assert nxt.index == prev.index + 1
+        start, end = date(2020, 1, 6), date(2020, 3, 1)
+        starts = build_windows(start, end)
+        assert starts[0] == start
+        for prev, nxt in zip(starts, starts[1:]):
+            assert (nxt - prev).days == 7
+        # the last window is the first to reach `end`
+        assert starts[-1] < end <= starts[-1] + timedelta(days=7)
+
+    def test_an_end_outside_the_grid_is_refused(self):
+        # windows start 2021-01-04 and 2021-01-11, so the grid's last day is 2021-01-17
+        starts = build_windows(date(2021, 1, 4), date(2021, 1, 18))
+        doc = Document("a", date(2021, 1, 20), "", "")
+        for end in (date(2021, 1, 25), date(2021, 1, 19), starts[0]):
+            with pytest.raises(CorpusError) as err:
+                assign_windows([doc], starts, end)
+            assert str(err.value) == (
+                f"end {end} is outside the window grid: it must come after the grid's first day "
+                "2021-01-04 and at most one day after its last day 2021-01-17"
+            )
+        assert assign_windows([doc], starts, date(2021, 1, 18)) == ([[], []], 1)
+
+    def test_a_sliced_grid_buckets_by_position(self):
+        # a window's index is its position in the grid it is given
+        starts = build_windows(date(2021, 1, 4), date(2021, 6, 28))[6:]
+        assert starts[0] == date(2021, 2, 15)
+        docs = [Document(f"d{i}", starts[0] + timedelta(days=i), "", "") for i in (-1, 0, 6, 7, 20)]
+        by_window, excluded = assign_windows(docs, starts, date(2021, 6, 28))
+        assert [[d.id for d in v] for v in by_window[:3]] == [["d0", "d6"], ["d7"], ["d20"]]
+        assert all(v == [] for v in by_window[3:])
+        assert excluded == 1
 
     @given(
         offsets=st.lists(st.integers(min_value=-30, max_value=120), max_size=60),
@@ -495,11 +520,11 @@ class TestWindows:
             Document(f"d{i}", start + timedelta(days=off), "", "")
             for i, off in enumerate(offsets)
         ]
-        windows, out = assign(docs, start, end)
-        assert out.assigned + out.excluded == len(docs)
-        for w in windows:
-            for doc in out.by_window[w.index]:
-                assert w.start_date <= doc.published_at < w.end_date
+        starts, by_window, excluded = assign(docs, start, end)
+        assert sum(map(len, by_window)) + excluded == len(docs)
+        for window_start, window_docs in zip(starts, by_window, strict=True):
+            for doc in window_docs:
+                assert window_start <= doc.published_at < window_start + timedelta(days=7)
 
     def test_shard_merge_independence(self):
         start = date(2021, 5, 3)
@@ -508,15 +533,13 @@ class TestWindows:
             Document(f"d{i}", start + timedelta(days=(i * 5) % 80), "", "")
             for i in range(200)
         ]
-        windows, whole = assign(docs, start, end)
-        merged: dict[int, list] = {w.index: [] for w in windows}
+        starts, whole, _ = assign(docs, start, end)
+        merged: list[list] = [[] for _ in starts]
         for shard in (docs[:67], docs[67:150], docs[150:]):
-            part = assign_windows(shard, windows, end)
-            for idx, items in part.by_window.items():
+            part, _ = assign_windows(shard, starts, end)
+            for idx, items in enumerate(part):
                 merged[idx].extend(items)
-        assert {k: [d.id for d in v] for k, v in merged.items()} == {
-            k: [d.id for d in v] for k, v in whole.by_window.items()
-        }
+        assert [[d.id for d in v] for v in merged] == [[d.id for d in v] for v in whole]
 
     def test_determinism(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -524,6 +547,6 @@ class TestWindows:
         runs = []
         for _ in range(2):
             docs = list(load_corpus(p))
-            _, out = assign(docs, date(2020, 1, 1), date(2020, 2, 1))
-            runs.append({k: [d.id for d in v] for k, v in out.by_window.items()})
+            _, by_window, _ = assign(docs, date(2020, 1, 1), date(2020, 2, 1))
+            runs.append([[d.id for d in v] for v in by_window])
         assert runs[0] == runs[1]

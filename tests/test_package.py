@@ -13,7 +13,7 @@ EXPORTED = [
     "Document", "GrangerResult", "IngestConfig", "IngestReport", "ItalianStemmer", "KeywordSet",
     "MonthlySeries", "NullStemmer", "PipelineError", "PorterStemmer", "RankDeficientError",
     "RegistryError", "RegressionFit", "RunConfig", "SbsScore", "SeriesError",
-    "TimeWindow", "TokenSequence", "WeeklySeries", "WordGraph", "assign_stars", "assign_windows",
+    "TokenSequence", "WeeklySeries", "WordGraph", "assign_stars", "assign_windows",
     "build_graph", "build_windows", "compile_canonical_map", "connectivity",
     "cross_correlation_sign", "disaggregate", "f_upper_tail", "fixture_path", "get_stemmer",
     "granger_test", "load_corpus", "load_monthly", "normalize", "normalize_document", "ols_fit",
@@ -24,7 +24,7 @@ EXPORTED = [
 
 
 def test_all_lists_the_exported_names_sorted():
-    assert len(EXPORTED) == 55
+    assert len(EXPORTED) == 54
     assert sbsflow.__all__ == EXPORTED
 
 

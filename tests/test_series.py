@@ -108,6 +108,15 @@ class TestLoadMonthly:
             load_monthly(p)
         assert str(err.value) == f"{p}: header has {refusal}"
 
+    def test_series_name_holding_a_carriage_return_fatal(self, tmp_path):
+        # the artifact writers leave a lone \r unquoted, so such a name would
+        # split its rows of weekly_targets.csv and plot_data.csv in two
+        p = tmp_path / "m.csv"
+        p.write_bytes(b'month,personal,"cli\rmate"\n2017-01,1.5,1.5\n2017-02,1.5,1.5\n')
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}: header has series 'cli\\rmate' holding a carriage return in columns [3]"
+
     def test_44_month_multi_year_file(self, tmp_path):
         p = tmp_path / "m.csv"
         rows = ["month,climate,personal"]
@@ -162,6 +171,18 @@ class TestDisaggregate:
         expected = natural_spline_eval([0, 4, 9], [1.0, 2.0, 0.5], list(range(len(weekly))))
         for v, e in zip(weekly.values, expected):
             assert v == pytest.approx(e, abs=1e-9)
+
+    def test_a_sliced_grid_anchors_by_position(self):
+        # a window's index is its position in the grid it is given, so each
+        # month's value lands on the first window of the slice starting in it
+        starts = build_windows(date(2021, 1, 4), date(2021, 6, 28))[6:]
+        m = monthly("s", (2021, 3), [1.0, 5.0, 2.0])
+        assert month_anchors(m, starts) == [2, 7, 11]
+        weekly = disaggregate(m, starts)
+        assert len(weekly) == len(starts)
+        for month, value in zip(m.months, m.values):
+            first = next(i for i, start in enumerate(starts) if start.replace(day=1) == month)
+            assert weekly.values[first] == pytest.approx(value, abs=1e-9)
 
     def test_fewer_than_three_knots_fatal(self):
         m = monthly("s", (2021, 2), [1.0, 2.0])

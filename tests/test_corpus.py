@@ -417,6 +417,51 @@ class TestPositions:
                 assert list(load_corpus(p, IngestConfig(format=fmt), positions=[doc.position])) == [doc]
 
 
+POSITIONS_CORPUS = {
+    "jsonl": (
+        json.dumps({"id": "a", "date": "2020-01-01", "title": "t", "body": "b"}) + "\n\n"
+        + json.dumps({"id": "b", "date": "2020-01-02", "title": "t", "body": "c"}) + "\n"
+    ).encode(),
+    "csv": (
+        "id,date,title,body\r\n"
+        'a,2020-01-01,T,"first\r\nsecond, more\r\nthird"\r\n'
+        "\r\n"
+        "b,2020-01-02,T,B\r\n"
+    ).encode(),
+}
+
+
+# (format, the bytes the position is found at, how far into them, what the read there reports)
+@pytest.mark.parametrize(
+    "fmt, at, offset, reason",
+    [
+        ("jsonl", b"\n\n", 1, "no record starts here"),  # a blank line
+        ("jsonl", b"\n\n", 0, "no record starts here"),  # the end of a record's line
+        ("jsonl", b'"date": "2020-01-02"', 0, "invalid JSON"),  # the middle of a line
+        ("jsonl", b"", None, "no record starts here"),  # the end of the file
+        ("csv", b"\r\n\r\nb", 2, "no record starts here"),  # a blank line
+        ("csv", b"id,date", 0, "unparseable date 'date'"),  # the header is read as a record
+        ("csv", b"second, more", 0, "expected 4 cells, got 2"),  # inside a quoted cell
+        ("csv", b"\r\nsecond", 0, "no record starts here"),  # a line end inside a quoted cell
+        ("csv", b'third"', 0, "expected 4 cells, got 1"),  # a quoted cell's last line
+        ("csv", b"2020-01-02,T,B", 0, "expected 4 cells, got 3"),  # the middle of a line
+        ("csv", b"", None, "no record starts here"),  # the end of the file
+    ],
+)
+def test_a_position_where_no_record_starts_reports_what_is_read_there(tmp_path, fmt, at, offset, reason):
+    data = POSITIONS_CORPUS[fmt]
+    p = tmp_path / f"c.{fmt}"
+    p.write_bytes(data)
+    docs = list(load_corpus(p, IngestConfig(format=fmt)))
+    assert [d.id for d in docs] == ["a", "b"]
+    position = len(data) if offset is None else data.index(at) + offset
+    report = IngestReport()
+    # the records around it still read back at their own positions
+    positions = [docs[1].position, position, docs[0].position]
+    assert list(load_corpus(p, IngestConfig(format=fmt), report, positions=positions)) == [docs[1], docs[0]]
+    assert (report.records, report.loaded, report.rejects) == (3, 2, [(position, reason)])
+
+
 def assign(docs, start, end):
     """The run's grid for [start, end), the documents bucketed into it and
     the number excluded."""

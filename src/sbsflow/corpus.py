@@ -146,22 +146,6 @@ def _lines(fh: BinaryIO, at: list[int]) -> Iterator[str]:
             yield line.decode("utf-8")
 
 
-def _json_record(line: str) -> dict | str:
-    """The record on a non-blank JSON line, or why it is rejected."""
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError:
-        return "invalid JSON"
-    return raw if isinstance(raw, dict) else "record is not an object"
-
-
-def _csv_record(row: list[str], header: list[str]) -> dict | str:
-    """The record in a non-blank CSV row, or why it is rejected."""
-    if len(row) != len(header):
-        return f"expected {len(header)} cells, got {len(row)}"
-    return dict(zip(header, row))
-
-
 def _check_header(header: list[str], cfg: IngestConfig, path: Path) -> None:
     missing = [(key, getattr(cfg, attr)) for key, attr in _COLUMNS if getattr(cfg, attr) not in header]
     if missing:
@@ -176,44 +160,43 @@ def _check_header(header: list[str], cfg: IngestConfig, path: Path) -> None:
 _NO_RECORD = "no record starts here"
 
 
-def _records(
-    fh: BinaryIO, cfg: IngestConfig, path: Path, positions: Iterable[int] | None
-) -> Iterator[tuple[int, int, dict | str]]:
-    """``(where, position, record or why it is rejected)`` for each record of
-    ``fh``: every record in file order, located by the line on which it
-    starts, or with ``positions`` the records starting at those byte
-    positions, located by their position."""
+def _records(fh: BinaryIO, header: list[str] | None) -> Iterator[tuple[int, int, dict | str]]:
+    """``(line, position, record or why it is rejected)`` for each record
+    from ``fh``'s current position, in file order: JSON Lines when
+    ``header`` is None, else CSV rows under ``header``. ``line`` counts the
+    lines read, from 1; blank lines hold no record."""
     at = [fh.tell()]
-    if cfg.format == "jsonl":
-        if positions is None:
-            end = at[0]
-            for line_no, line in enumerate(_lines(fh, at), start=1):
-                start, end = end, at[0]
-                if line.strip():
-                    yield line_no, start, _json_record(line)
-        else:
-            for position in positions:
-                fh.seek(position)
-                line = next(_lines(fh, [position]), "")
-                yield position, position, _json_record(line) if line.strip() else _NO_RECORD
-        return
-    reader = csv.reader(_lines(fh, at))
-    header = next(reader, [])
-    _check_header(header, cfg, path)
-    if positions is None:
-        end, last_line = at[0], reader.line_num
-        for row in reader:
-            # a quoted field may span lines: a record starts on the line
-            # after the previous record's last one
+    end, last_line = at[0], 0
+    lines = _lines(fh, at)
+    if header is None:
+        for line_no, line in enumerate(lines, start=1):
             start, end = end, at[0]
-            line_no, last_line = last_line + 1, reader.line_num
-            if row:  # not a blank line
-                yield line_no, start, _csv_record(row, header)
-    else:
-        for position in positions:
-            fh.seek(position)
-            row = next(csv.reader(_lines(fh, [position])), [])
-            yield position, position, _csv_record(row, header) if row else _NO_RECORD
+            if line.strip():
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError:
+                    raw = "invalid JSON"
+                else:
+                    raw = raw if isinstance(raw, dict) else "record is not an object"
+                yield line_no, start, raw
+        return
+    reader = csv.reader(lines)
+    for row in reader:
+        # a quoted field may span lines: a record starts on the line after
+        # the previous record's last one
+        start, end = end, at[0]
+        line_no, last_line = last_line + 1, reader.line_num
+        if row:
+            yield line_no, start, dict(zip(header, row)) if len(row) == len(header) else (
+                f"expected {len(header)} cells, got {len(row)}"
+            )
+
+
+def _record_at(fh: BinaryIO, header: list[str] | None, position: int) -> dict | str:
+    """The record that starts at byte ``position``, or why there is none."""
+    fh.seek(position)
+    _, start, raw = next(_records(fh, header), (0, None, _NO_RECORD))
+    return raw if start == position else _NO_RECORD
 
 
 def load_corpus(
@@ -231,9 +214,10 @@ def load_corpus(
     header's, are rejected individually with the line on which they start;
     an unreadable file, and a CSV header that lacks a configured column,
     are fatal. Each document carries the byte position at which its record
-    starts. Given ``positions``, only the records that start there are read,
-    in that order: a reject is then located by its byte position, and a
-    position at which no record starts is rejected.
+    starts. Given ``positions``, the same reader starts at each of them in
+    turn and only a record that starts there is read: a reject is then
+    located by its byte position, and a position at which no record starts
+    is rejected.
     """
     cfg = cfg or IngestConfig()
     report = report if report is not None else IngestReport()
@@ -248,7 +232,18 @@ def load_corpus(
         # the byte-order mark some editors write at the start is not text
         if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
             fh.seek(0)
-        for where, position, raw in _records(fh, cfg, path, positions):
+        header, header_lines = None, 0
+        if cfg.format == "csv":
+            at = [fh.tell()]
+            reader = csv.reader(_lines(fh, at))
+            header, header_lines = next(reader, []), reader.line_num
+            _check_header(header, cfg, path)
+            fh.seek(at[0])
+        if positions is None:
+            found = ((header_lines + line, start, raw) for line, start, raw in _records(fh, header))
+        else:
+            found = ((position, position, _record_at(fh, header, position)) for position in positions)
+        for where, position, raw in found:
             report.records += 1
             doc = raw if isinstance(raw, str) else _parse_record(raw, position, cfg, seen, dates)
             if isinstance(doc, str):

@@ -139,15 +139,23 @@ def _parse_record(
 def _lines(fh: BinaryIO, at: list[int]) -> Iterator[str]:
     """The text lines of ``fh`` from its current position, split where a
     text-mode file splits them (at \\n, \\r and \\r\\n). ``at[0]`` starts at
-    that position and moves past each line as the line is yielded."""
+    that position and moves past each line as the line is yielded;
+    ``at[1]`` counts the lines that are not UTF-8 text, which are yielded
+    with U+FFFD where a byte does not decode."""
     for chunk in fh:
         for line in chunk.splitlines(keepends=True):
             at[0] += len(line)
-            yield line.decode("utf-8")
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                at[1] += 1
+                text = line.decode("utf-8", "replace")
+            yield text
 
 
 def _check_header(header: list[str], cfg: IngestConfig, path: Path) -> None:
-    missing = [(key, getattr(cfg, attr)) for key, attr in _COLUMNS if getattr(cfg, attr) not in header]
+    columns = [(key, getattr(cfg, attr)) for key, attr in _COLUMNS]
+    missing = [(key, name) for key, name in columns if name not in header]
     if missing:
         raise CorpusError(
             f"CSV corpus {path}: the header {header} lacks the column(s) "
@@ -155,44 +163,58 @@ def _check_header(header: list[str], cfg: IngestConfig, path: Path) -> None:
             f"{', '.join(f'corpus.fields.{key}' for key, _ in missing)}, or add them "
             "(a corpus without titles needs an empty title column)"
         )
+    repeated = [(key, name) for key, name in columns if header.count(name) > 1]
+    if repeated:
+        raise CorpusError(
+            f"CSV corpus {path}: the header {header} names the column(s) "
+            f"{', '.join(f'{name!r} (corpus.fields.{key})' for key, name in repeated)} "
+            "more than once, so which cell a record is read from is ambiguous; "
+            "give each column its own name"
+        )
 
 
 _NO_RECORD = "no record starts here"
 
 
-def _records(fh: BinaryIO, header: list[str] | None) -> Iterator[tuple[int, int, dict | str]]:
+def _records(fh: BinaryIO, header: list[str] | None) -> Iterator[tuple[int, int, dict | str | csv.Error]]:
     """``(line, position, record or why it is rejected)`` for each record
     from ``fh``'s current position, in file order: JSON Lines when
     ``header`` is None, else CSV rows under ``header``. ``line`` counts the
-    lines read, from 1; blank lines hold no record."""
-    at = [fh.tell()]
-    end, last_line = at[0], 0
-    lines = _lines(fh, at)
-    if header is None:
-        for line_no, line in enumerate(lines, start=1):
+    lines read, from 1; blank lines hold no record. A CSV record that
+    ``csv`` cannot read, as one with a cell over its size limit, comes as
+    the ``csv.Error`` and ends the reading, since where the next record
+    starts is then unknown."""
+    at = [fh.tell(), 0]
+    end, last_line, not_utf8 = at[0], 0, 0
+    frames = _lines(fh, at) if header is None else csv.reader(_lines(fh, at))
+    try:
+        for frame in frames:
+            # a quoted CSV field may span lines: a record starts on the line
+            # after the previous record's last one
             start, end = end, at[0]
-            if line.strip():
+            line_no = last_line + 1
+            last_line = line_no if header is None else frames.line_num
+            if not (frame if header is not None else frame.strip()):
+                continue  # a blank line
+            if at[1] > not_utf8:
+                not_utf8, raw = at[1], "not UTF-8 text"
+            elif header is not None:
+                raw = dict(zip(header, frame)) if len(frame) == len(header) else (
+                    f"expected {len(header)} cells, got {len(frame)}"
+                )
+            else:
                 try:
-                    raw = json.loads(line)
+                    raw = json.loads(frame)
                 except json.JSONDecodeError:
                     raw = "invalid JSON"
                 else:
                     raw = raw if isinstance(raw, dict) else "record is not an object"
-                yield line_no, start, raw
-        return
-    reader = csv.reader(lines)
-    for row in reader:
-        # a quoted field may span lines: a record starts on the line after
-        # the previous record's last one
-        start, end = end, at[0]
-        line_no, last_line = last_line + 1, reader.line_num
-        if row:
-            yield line_no, start, dict(zip(header, row)) if len(row) == len(header) else (
-                f"expected {len(header)} cells, got {len(row)}"
-            )
+            yield line_no, start, raw
+    except csv.Error as exc:
+        yield last_line + 1, end, exc
 
 
-def _record_at(fh: BinaryIO, header: list[str] | None, position: int) -> dict | str:
+def _record_at(fh: BinaryIO, header: list[str] | None, position: int) -> dict | str | csv.Error:
     """The record that starts at byte ``position``, or why there is none."""
     fh.seek(position)
     _, start, raw = next(_records(fh, header), (0, None, _NO_RECORD))
@@ -208,12 +230,14 @@ def load_corpus(
 ) -> Iterator[Document]:
     """Stream documents in file order; malformed records go to the report.
 
-    Records missing an id or date, carrying a duplicate id, or holding an
-    id that is neither a string nor a finite number or a title or body that
-    is not a string, and CSV records whose cell count differs from the
-    header's, are rejected individually with the line on which they start;
-    an unreadable file, and a CSV header that lacks a configured column,
-    are fatal. Each document carries the byte position at which its record
+    Records that are not UTF-8 text, miss an id or date, carry a duplicate
+    id, or hold an id that is neither a string nor a finite number or a
+    title or body that is not a string, and CSV records whose cell count
+    differs from the header's, are rejected individually with the line on
+    which they start. An unreadable file, a CSV header that lacks a
+    configured column or names one twice, and a CSV record that ``csv``
+    cannot read, as one with a cell over its size limit, are fatal. Each
+    document carries the byte position at which its record
     starts. Given ``positions``, the same reader starts at each of them in
     turn and only a record that starts there is read: a reject is then
     located by its byte position, and a position at which no record starts
@@ -234,7 +258,7 @@ def load_corpus(
             fh.seek(0)
         header, header_lines = None, 0
         if cfg.format == "csv":
-            at = [fh.tell()]
+            at = [fh.tell(), 0]
             reader = csv.reader(_lines(fh, at))
             header, header_lines = next(reader, []), reader.line_num
             _check_header(header, cfg, path)
@@ -244,6 +268,12 @@ def load_corpus(
         else:
             found = ((position, position, _record_at(fh, header, position)) for position in positions)
         for where, position, raw in found:
+            if isinstance(raw, csv.Error):
+                raise CorpusError(
+                    f"CSV corpus {path}: the record at {'line' if positions is None else 'byte'} "
+                    f"{where} cannot be read: {raw}; a CSV cell holds at most "
+                    f"{csv.field_size_limit():,} characters, and JSON Lines has no such limit"
+                )
             report.records += 1
             doc = raw if isinstance(raw, str) else _parse_record(raw, position, cfg, seen, dates)
             if isinstance(doc, str):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from datetime import date
 from importlib import resources
 from pathlib import Path
 
@@ -94,10 +95,27 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
+# what YAML reads an unquoted scalar as when it is not text
+_YAML_KINDS = {bool: "a boolean", type(None): "null", int: "a number", float: "a number", date: "a date"}
+
+
+def _text(value: object, what: str) -> str:
+    """``value`` if YAML read it as text: unquoted, ``no`` is a boolean,
+    ``~`` is null and ``2020`` is a number."""
+    if isinstance(value, str):
+        return value
+    kind = _YAML_KINDS.get(type(value), f"a {type(value).__name__}")
+    raise RegistryError(f"{what} {value!r} is {kind} as YAML reads it, not text; quote it")
+
+
 def parse_registry(path: str | Path) -> list[KeywordSet]:
     """Load keyword sets, enforcing unique labels and surface forms."""
-    raw = Path(path).read_text(encoding="utf-8")
-    data = yaml.safe_load(raw)
+    try:
+        # from the open file, so that a parse error's marks name it
+        with open(path, encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise RegistryError(f"{path}: registry does not parse as YAML: {exc}") from None
     if data is None:
         return []
     if not isinstance(data, list):
@@ -109,7 +127,7 @@ def parse_registry(path: str | Path) -> list[KeywordSet]:
         if not isinstance(block, dict) or "label" not in block:
             raise RegistryError(f"{path}: block {pos} has no 'label'")
         # in NFC form, as tokenize puts text, so an accent has one spelling
-        label = unicodedata.normalize("NFC", str(block["label"]))
+        label = unicodedata.normalize("NFC", _text(block["label"], f"{path}: block {pos}: the label"))
         if not _LABEL_RE.fullmatch(label):
             raise RegistryError(
                 f"{path}: block {pos}: label {label!r} must be lowercase "
@@ -125,7 +143,8 @@ def parse_registry(path: str | Path) -> list[KeywordSet]:
             raise RegistryError(f"{path}: block {pos} ({label}): members must be a non-empty list")
         cleaned = []
         for m in members:
-            m = unicodedata.normalize("NFC", str(m)).strip().lower()
+            m = _text(m, f"{path}: block {pos} ({label}): the member")
+            m = unicodedata.normalize("NFC", m).strip().lower()
             if not m:
                 raise RegistryError(f"{path}: block {pos} ({label}): empty member")
             if m in member_at:

@@ -275,6 +275,76 @@ class TestLoadCorpus:
         # a string that does not parse is named as each record spells it
         assert report.rejects == [(5, "unparseable date '2020-02-30'"), (6, "unparseable date ' 2020-02-30 '")]
 
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            ("id,date,title,body,body", "'body' (corpus.fields.body)"),
+            ("id,id,date,title,body,date", "'id' (corpus.fields.id), 'date' (corpus.fields.date)"),
+        ],
+    )
+    def test_csv_header_repeating_a_configured_column_refused(self, tmp_path, header, named):
+        # each body used to load silently from the last 'body' column
+        p = tmp_path / "c.csv"
+        p.write_text(f"{header}\n" + ",".join(f"c{i}" for i in range(header.count(",") + 1)) + "\n")
+        with pytest.raises(CorpusError, match="more than once") as err:
+            list(load_corpus(p, IngestConfig(format="csv")))
+        assert f"names the column(s) {named} more than once" in str(err.value)
+        assert str(p) in str(err.value)
+
+    def test_csv_header_repeating_a_column_that_is_not_read_accepted(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("id,source,date,title,body,source\nd0,s,2020-01-01,t0,b0,s\n")
+        assert list(load_corpus(p, IngestConfig(format="csv"))) == [Document("d0", date(2020, 1, 1), "t0", "b0")]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_record_that_is_not_utf8_rejected_at_the_line_where_it_starts(self, tmp_path, fmt):
+        # a Latin-1 byte used to end the run with a bare UnicodeDecodeError
+        if fmt == "jsonl":
+            data = (
+                b'{"id": "a", "date": "2020-01-01", "title": "t", "body": "b"}\n'
+                b'{"id": "b", "date": "2020-01-01", "title": "t", "body": "caff\xe8"}\n'
+                b'{"id": "c", "date": "2020-01-02", "title": "t", "body": "caff\xc3\xa8"}\n'
+            )
+            line = 2
+        else:
+            data = (
+                b"id,date,title,body\r\n"
+                b"a,2020-01-01,t,b\r\n"
+                b'b,2020-01-01,t,"first\r\ncaff\xe8"\r\n'  # lines 3-4, the bad byte on line 4
+                b"c,2020-01-02,t,caff\xc3\xa8\r\n"
+            )
+            line = 3
+        p = tmp_path / f"c.{fmt}"
+        p.write_bytes(data)
+        report = IngestReport()
+        docs = list(load_corpus(p, IngestConfig(format=fmt), report))
+        assert [(d.id, d.body) for d in docs] == [("a", "b"), ("c", "caffè")]
+        assert (report.records, report.loaded, report.rejects) == (3, 2, [(line, "not UTF-8 text")])
+        # read at its position, the record is refused in the same words
+        position = data.index({"jsonl": b'{"id": "b"', "csv": b"b,2020"}[fmt])
+        again = IngestReport()
+        assert list(load_corpus(p, IngestConfig(format=fmt), again, positions=[position, docs[1].position])) == docs[1:]
+        assert again.rejects == [(position, "not UTF-8 text")]
+
+    def test_csv_cell_over_the_csv_size_limit_refused_at_its_line(self, tmp_path):
+        # a bare csv.Error used to end the run without a file or a line
+        long_body = "x" * 200_000
+        p = tmp_path / "c.csv"
+        p.write_text(f'id,date,title,body\na,2020-01-01,t,b\n\nb,2020-01-02,t,"{long_body}\nmore"\nc,2020-01-03,t,b\n')
+        with pytest.raises(CorpusError) as err:
+            list(load_corpus(p, IngestConfig(format="csv")))
+        message = str(err.value)
+        assert message.startswith(f"CSV corpus {p}: the record at line 4 cannot be read")
+        assert "131,072 characters, and JSON Lines has no such limit" in message
+        # a positioned read of that record is refused at its byte
+        position = p.read_bytes().index(b"b,2020-01-02")
+        with pytest.raises(CorpusError, match=f"the record at byte {position} cannot be read"):
+            list(load_corpus(p, IngestConfig(format="csv"), positions=[position]))
+        # the same record loads from JSON Lines
+        q = tmp_path / "c.jsonl"
+        write_jsonl(q, [{"id": "b", "date": "2020-01-02", "title": "t", "body": long_body + "\nmore"}])
+        assert [d.body for d in load_corpus(q)] == [long_body + "\nmore"]
+
 
 def every_reject_corpus(fmt: str) -> bytes:
     """A corpus with every kind of reject, lone-CR and CRLF line ends, a

@@ -67,6 +67,40 @@ class TestParseRegistry:
         with pytest.raises(RegistryError):
             parse_registry(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the members loaded as ('false', 'none', 'true') and so never matched 'no'
+            ("- label: vote\n  members: [no, ~, on]\n", "block 0 (vote): the member False is a boolean"),
+            ("- label: vote\n  members: [ballot, ~]\n", "block 0 (vote): the member None is null"),
+            ("- label: year\n  members: [2020]\n", "block 0 (year): the member 2020 is a number"),
+            ("- label: day\n  members: [2020-01-04]\n", "block 0 (day): the member datetime.date(2020, 1, 4) is a date"),
+            # refused as "label 'False' must be lowercase letters", a value never written
+            ("- label: x\n  members: [x]\n- label: no\n  members: [nay]\n", "block 1: the label False is a boolean"),
+        ],
+        ids=["no", "null", "number", "date", "label"],
+    )
+    def test_value_yaml_does_not_read_as_text_refused(self, tmp_path, text, message):
+        p = tmp_path / "kw.yaml"
+        p.write_text(text)
+        with pytest.raises(RegistryError) as err:
+            parse_registry(p)
+        assert str(err.value) == f"{p}: {message} as YAML reads it, not text; quote it"
+
+    def test_quoted_yaml_words_are_members(self, tmp_path):
+        p = tmp_path / "kw.yaml"
+        p.write_text('- label: vote\n  members: ["no", "yes", "on", "off", "~"]\n')
+        assert parse_registry(p) == [KeywordSet("vote", ("no", "yes", "on", "off", "~"))]
+
+    def test_registry_that_does_not_parse_refused_naming_its_file(self, tmp_path):
+        # a bare yaml ParserError used to locate it in "<unicode string>"
+        p = tmp_path / "kw.yaml"
+        p.write_text("- label: covid\n  members: [covid, coronavirus\n")
+        with pytest.raises(RegistryError, match="registry does not parse as YAML") as err:
+            parse_registry(p)
+        assert str(err.value).startswith(f"{p}: ")
+        assert f'in "{p}", line 2' in str(err.value)
+
     def test_core_fixture_has_29_sets_with_covid_singleton(self):
         sets = parse_registry(fixture_path("keywords_core.yaml"))
         assert len(sets) == 29

@@ -860,6 +860,26 @@ def test_artifacts_do_not_depend_on_corpus_format_or_workers(
     assert digests == TWO_FORMAT_SHA256
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_record_that_is_not_utf8_is_rejected_and_the_run_goes_on(two_format_fixture, tmp_path, fmt):
+    # a Latin-1 byte used to end the run at stage ingest with a bare UnicodeDecodeError
+    fx, corpora = two_format_fixture
+    data = corpora[fmt].read_bytes()
+    # the first record's body ends "citta\u0300 economy", its accent decomposed
+    # (escaped in JSON Lines); in CSV that is the third line of a quoted cell
+    spelled = {"jsonl": b"citta\\u0300", "csv": "citta\u0300".encode()}[fmt]
+    assert spelled in data
+    corpus = tmp_path / f"corpus.{fmt}"
+    corpus.write_bytes(data.replace(spelled, "citt\u00e0".encode("latin-1"), 1))
+    conf = yaml.safe_load(_rewritten_config(fx, corpus=corpus, out=tmp_path / "out"))
+    conf["corpus"]["format"] = fmt
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(conf))
+    manifest = run_pipeline(validate_config(config), stage_mode="score")
+    assert (manifest["corpus"]["loaded"], manifest["corpus"]["rejected"]) == (fx.n_docs - 1, 1)
+    assert (tmp_path / "out" / SCORES_CSV).exists()
+
+
 class TestCli:
     def test_validate_ok(self, fixture, capsys):
         assert cli_main(["validate", "--config", str(fixture.config_path)]) == 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from datetime import date
 from importlib import resources
 from pathlib import Path
 
@@ -95,17 +94,12 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
-# what YAML reads an unquoted scalar as when it is not text
-_YAML_KINDS = {bool: "a boolean", type(None): "null", int: "a number", float: "a number", date: "a date"}
-
-
 def _text(value: object, what: str) -> str:
     """``value`` if YAML read it as text: unquoted, ``no`` is a boolean,
     ``~`` is null and ``2020`` is a number."""
     if isinstance(value, str):
         return value
-    kind = _YAML_KINDS.get(type(value), f"a {type(value).__name__}")
-    raise RegistryError(f"{what} {value!r} is {kind} as YAML reads it, not text; quote it")
+    raise RegistryError(f"{what} is {value!r} as YAML reads it, not text; quote it")
 
 
 def parse_registry(path: str | Path) -> list[KeywordSet]:

@@ -71,12 +71,12 @@ class TestParseRegistry:
         "text, message",
         [
             # the members loaded as ('false', 'none', 'true') and so never matched 'no'
-            ("- label: vote\n  members: [no, ~, on]\n", "block 0 (vote): the member False is a boolean"),
-            ("- label: vote\n  members: [ballot, ~]\n", "block 0 (vote): the member None is null"),
-            ("- label: year\n  members: [2020]\n", "block 0 (year): the member 2020 is a number"),
-            ("- label: day\n  members: [2020-01-04]\n", "block 0 (day): the member datetime.date(2020, 1, 4) is a date"),
+            ("- label: vote\n  members: [no, ~, on]\n", "block 0 (vote): the member is False"),
+            ("- label: vote\n  members: [ballot, ~]\n", "block 0 (vote): the member is None"),
+            ("- label: year\n  members: [2020]\n", "block 0 (year): the member is 2020"),
+            ("- label: day\n  members: [2020-01-04]\n", "block 0 (day): the member is datetime.date(2020, 1, 4)"),
             # refused as "label 'False' must be lowercase letters", a value never written
-            ("- label: x\n  members: [x]\n- label: no\n  members: [nay]\n", "block 1: the label False is a boolean"),
+            ("- label: x\n  members: [x]\n- label: no\n  members: [nay]\n", "block 1: the label is False"),
         ],
         ids=["no", "null", "number", "date", "label"],
     )

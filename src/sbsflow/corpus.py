@@ -176,32 +176,29 @@ def _check_header(header: list[str], cfg: IngestConfig, path: Path) -> None:
 _NO_RECORD = "no record starts here"
 
 
-def _records(fh: BinaryIO, header: list[str] | None) -> Iterator[tuple[int, int, dict | str | csv.Error]]:
-    """``(line, position, record or why it is rejected)`` for each record
-    from ``fh``'s current position, in file order: JSON Lines when
-    ``header`` is None, else CSV rows under ``header``. ``line`` counts the
-    lines read, from 1; blank lines hold no record. A CSV record that
-    ``csv`` cannot read, as one with a cell over its size limit, comes as
-    the ``csv.Error`` and ends the reading, since where the next record
-    starts is then unknown."""
+def _records(fh: BinaryIO, is_csv: bool) -> Iterator[tuple[int, int, dict | list[str] | str | csv.Error]]:
+    """``(line, position, frame or why it is rejected)`` for each record
+    from ``fh``'s current position, in file order: a JSON Lines object, or
+    a CSV row's cells when ``is_csv``. ``line`` counts the lines read, from
+    1; blank lines hold no record. A CSV row that ``csv`` cannot read, as
+    one with a cell over its size limit, comes as the ``csv.Error`` and
+    ends the reading, since where the next row starts is then unknown."""
     at = [fh.tell(), 0]
     end, last_line, not_utf8 = at[0], 0, 0
-    frames = _lines(fh, at) if header is None else csv.reader(_lines(fh, at))
+    frames = csv.reader(_lines(fh, at)) if is_csv else _lines(fh, at)
     try:
         for frame in frames:
             # a quoted CSV field may span lines: a record starts on the line
             # after the previous record's last one
             start, end = end, at[0]
             line_no = last_line + 1
-            last_line = line_no if header is None else frames.line_num
-            if not (frame if header is not None else frame.strip()):
+            last_line = frames.line_num if is_csv else line_no
+            if not (frame if is_csv else frame.strip()):
                 continue  # a blank line
             if at[1] > not_utf8:
                 not_utf8, raw = at[1], "not UTF-8 text"
-            elif header is not None:
-                raw = dict(zip(header, frame)) if len(frame) == len(header) else (
-                    f"expected {len(header)} cells, got {len(frame)}"
-                )
+            elif is_csv:
+                raw = frame
             else:
                 try:
                     raw = json.loads(frame)
@@ -214,11 +211,16 @@ def _records(fh: BinaryIO, header: list[str] | None) -> Iterator[tuple[int, int,
         yield last_line + 1, end, exc
 
 
-def _record_at(fh: BinaryIO, header: list[str] | None, position: int) -> dict | str | csv.Error:
+def _record_at(fh: BinaryIO, is_csv: bool, position: int) -> dict | list[str] | str | csv.Error:
     """The record that starts at byte ``position``, or why there is none."""
     fh.seek(position)
-    _, start, raw = next(_records(fh, header), (0, None, _NO_RECORD))
+    _, start, raw = next(_records(fh, is_csv), (0, None, _NO_RECORD))
     return raw if start == position else _NO_RECORD
+
+
+def _unreadable(path: Path, row: str, why: str | csv.Error) -> CorpusError:
+    limit = f"; a CSV cell holds at most {csv.field_size_limit():,} characters, and JSON Lines has no such limit"
+    return CorpusError(f"CSV corpus {path}: {row} cannot be read: {why}" + (limit if isinstance(why, csv.Error) else ""))
 
 
 def load_corpus(
@@ -234,14 +236,14 @@ def load_corpus(
     id, or hold an id that is neither a string nor a finite number or a
     title or body that is not a string, and CSV records whose cell count
     differs from the header's, are rejected individually with the line on
-    which they start. An unreadable file, a CSV header that lacks a
-    configured column or names one twice, and a CSV record that ``csv``
-    cannot read, as one with a cell over its size limit, are fatal. Each
-    document carries the byte position at which its record
-    starts. Given ``positions``, the same reader starts at each of them in
-    turn and only a record that starts there is read: a reject is then
-    located by its byte position, and a position at which no record starts
-    is rejected.
+    which they start. The CSV header is the first line that is not blank.
+    An unreadable file, a CSV header that is not UTF-8 text, lacks a
+    configured column or names one twice, and a CSV header or record that
+    ``csv`` cannot read, as one with a cell over its size limit, are fatal.
+    Each document carries the byte position at which its record starts.
+    Given ``positions``, the same reader starts at each of them in turn and
+    only a record that starts there is read: a reject is then located by
+    its byte position, and a position at which no record starts is rejected.
     """
     cfg = cfg or IngestConfig()
     report = report if report is not None else IngestReport()
@@ -256,23 +258,21 @@ def load_corpus(
         # the byte-order mark some editors write at the start is not text
         if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
             fh.seek(0)
-        header, header_lines = None, 0
-        if cfg.format == "csv":
-            at = [fh.tell(), 0]
-            reader = csv.reader(_lines(fh, at))
-            header, header_lines = next(reader, []), reader.line_num
+        is_csv, header = cfg.format == "csv", None
+        found = _records(fh, is_csv)
+        if is_csv:
+            line, _, header = next(found, (1, None, []))
+            if not isinstance(header, list):
+                raise _unreadable(path, f"the header at line {line}", header)
             _check_header(header, cfg, path)
-            fh.seek(at[0])
-        if positions is None:
-            found = ((header_lines + line, start, raw) for line, start, raw in _records(fh, header))
-        else:
-            found = ((position, position, _record_at(fh, header, position)) for position in positions)
+        if positions is not None:
+            found = ((position, position, _record_at(fh, is_csv, position)) for position in positions)
         for where, position, raw in found:
             if isinstance(raw, csv.Error):
-                raise CorpusError(
-                    f"CSV corpus {path}: the record at {'line' if positions is None else 'byte'} "
-                    f"{where} cannot be read: {raw}; a CSV cell holds at most "
-                    f"{csv.field_size_limit():,} characters, and JSON Lines has no such limit"
+                raise _unreadable(path, f"the record at {'line' if positions is None else 'byte'} {where}", raw)
+            if isinstance(raw, list):
+                raw = dict(zip(header, raw)) if len(raw) == len(header) else (
+                    f"expected {len(header)} cells, got {len(raw)}"
                 )
             report.records += 1
             doc = raw if isinstance(raw, str) else _parse_record(raw, position, cfg, seen, dates)

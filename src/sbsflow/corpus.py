@@ -136,21 +136,44 @@ def _parse_record(
     )
 
 
+# the most a read takes at once: a file whose lines end in a lone \r has no
+# \n for readline to stop at
+_CHUNK = 1 << 16
+
+
+def _byte_lines(fh: BinaryIO) -> Iterator[bytes]:
+    """The lines of ``fh`` from its current position, each with its end
+    (\\n, \\r or \\r\\n), read at most ``_CHUNK`` bytes at a time."""
+    # the pieces read of a line whose end is not yet known: it has none yet,
+    # or it ends in a \r that a \n may follow in the next read
+    line: list[bytes] = []
+    while chunk := fh.readline(_CHUNK):
+        for piece in chunk.splitlines(keepends=True):
+            if line and line[-1].endswith(b"\r") and piece != b"\n":
+                yield b"".join(line)
+                line = []
+            line.append(piece)
+            if piece.endswith(b"\n"):
+                yield b"".join(line)
+                line = []
+    if line:
+        yield b"".join(line)
+
+
 def _lines(fh: BinaryIO, at: list[int]) -> Iterator[str]:
     """The text lines of ``fh`` from its current position, split where a
     text-mode file splits them (at \\n, \\r and \\r\\n). ``at[0]`` starts at
     that position and moves past each line as the line is yielded;
     ``at[1]`` counts the lines that are not UTF-8 text, which are yielded
     with U+FFFD where a byte does not decode."""
-    for chunk in fh:
-        for line in chunk.splitlines(keepends=True):
-            at[0] += len(line)
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError:
-                at[1] += 1
-                text = line.decode("utf-8", "replace")
-            yield text
+    for line in _byte_lines(fh):
+        at[0] += len(line)
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            at[1] += 1
+            text = line.decode("utf-8", "replace")
+        yield text
 
 
 def _check_header(header: list[str], cfg: IngestConfig, path: Path) -> None:

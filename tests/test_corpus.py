@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -345,6 +346,33 @@ class TestLoadCorpus:
         write_jsonl(q, [{"id": "b", "date": "2020-01-02", "title": "t", "body": long_body + "\nmore"}])
         assert [d.body for d in load_corpus(q)] == [long_body + "\nmore"]
 
+    @pytest.mark.parametrize(
+        "header, why",
+        [
+            (b"id,date,title,body," + b"x" * 200_000, "131,072 characters, and JSON Lines has no such limit"),
+            (b"id,date,t\xe8tle,body", "not UTF-8 text"),
+        ],
+        ids=["cell_over_the_csv_limit", "not_utf8"],
+    )
+    def test_csv_header_that_cannot_be_read_refused_at_its_line(self, tmp_path, header, why):
+        # a bare csv.Error, or a missing column 't\ufffdtle', used to end the run
+        p = tmp_path / "c.csv"
+        p.write_bytes(header + b"\nd0,2020-01-01,t0,b0\n")
+        with pytest.raises(CorpusError) as err:
+            list(load_corpus(p, IngestConfig(format="csv")))
+        assert str(err.value).startswith(f"CSV corpus {p}: the header at line 1 cannot be read: ")
+        assert str(err.value).endswith(why)
+
+    def test_blank_lines_before_the_csv_header_skipped(self, tmp_path):
+        # they used to be read as a header [] that lacked every column
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"\xef\xbb\xbf\r\n\n\rid,date,title,body\n\nd0,2020-01-01,t0,b0\nd1,2020-01-01\n")
+        report = IngestReport()
+        docs = list(load_corpus(p, IngestConfig(format="csv"), report))
+        assert docs == [Document("d0", date(2020, 1, 1), "t0", "b0")]
+        assert report.rejects == [(7, "expected 4 cells, got 2")]
+        assert list(load_corpus(p, IngestConfig(format="csv"), positions=[docs[0].position])) == docs
+
 
 def every_reject_corpus(fmt: str) -> bytes:
     """A corpus with every kind of reject, lone-CR and CRLF line ends, a
@@ -467,10 +495,12 @@ class TestPositions:
             ),
             max_size=8,
         ),
-        line_end=st.sampled_from(["\n", "\r\n"]),
+        line_end=st.sampled_from(["\n", "\r\n", "\r"]),
         bom=st.booleans(),
+        # reads that split records, \r\n pairs and multi-byte characters
+        chunk=st.sampled_from([corpus._CHUNK]) | st.integers(min_value=1, max_value=16),
     )
-    def test_every_document_reads_back_alone_at_its_position(self, tmp_path_factory, records, line_end, bom):
+    def test_every_document_reads_back_alone_at_its_position(self, tmp_path_factory, records, line_end, bom, chunk):
         tmp_path = tmp_path_factory.mktemp("positions")
         rows = [(f"d{i}", "2020-01-01", title, body) for i, (title, body) in enumerate(records)]
         texts = {"jsonl": "".join(json.dumps(dict(zip(("id", "date", "title", "body"), row))) + line_end for row in rows)}
@@ -481,10 +511,21 @@ class TestPositions:
         for fmt, text in texts.items():
             p = tmp_path / f"c.{fmt}"
             p.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
-            docs = list(load_corpus(p, IngestConfig(format=fmt)))
-            assert [(d.id, d.title, d.body) for d in docs] == [(i, t, b) for i, _, t, b in rows]
-            for doc in reversed(docs):
-                assert list(load_corpus(p, IngestConfig(format=fmt), positions=[doc.position])) == [doc]
+            with mock.patch.object(corpus, "_CHUNK", chunk):
+                docs = list(load_corpus(p, IngestConfig(format=fmt)))
+                assert [(d.id, d.title, d.body) for d in docs] == [(i, t, b) for i, _, t, b in rows]
+                for doc in reversed(docs):
+                    assert list(load_corpus(p, IngestConfig(format=fmt), positions=[doc.position])) == [doc]
+
+    def test_a_positioned_read_in_a_lone_cr_file_reads_about_one_chunk(self, tmp_path):
+        # a binary file splits only at \n, so a read used to run on to the end of the file
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b"".join(json.dumps(make_record(i, "2020-01-01")).encode() + b"\r" for i in range(5_000)))
+        docs = list(load_corpus(p))
+        assert p.stat().st_size > 4 * corpus._CHUNK
+        with p.open("rb") as fh:
+            assert corpus._record_at(fh, False, docs[10].position)["id"] == "d10"
+            assert fh.tell() - docs[10].position <= corpus._CHUNK
 
 
 POSITIONS_CORPUS = {

@@ -793,9 +793,10 @@ class TestCorpusChangedAfterIngest:
 
 
 def _corpus_in_both_formats(fx, root: Path) -> dict[str, Path]:
-    """The fixture's records as JSON Lines and as CSV. Some bodies hold a
-    newline and NFD accents; the CSV has CRLF line ends and a byte-order
-    mark, so those bodies are quoted fields that span lines."""
+    """The fixture's records as JSON Lines and as CSV, and each again with
+    lone \\r line ends. Some bodies hold a newline and NFD accents; the CSV
+    has CRLF line ends and a byte-order mark, so those bodies are quoted
+    fields that span lines."""
     records = [json.loads(line) for line in fx.corpus_path.read_text(encoding="utf-8").splitlines()]
     for i, rec in enumerate(records):
         if i % 3 == 0:
@@ -809,6 +810,10 @@ def _corpus_in_both_formats(fx, root: Path) -> dict[str, Path]:
         writer = csv.writer(fh)  # CRLF line ends
         writer.writerow(columns)
         writer.writerows([rec[c] for c in columns] for rec in records)
+    # JSON escapes a newline inside a string, and no CSV cell holds a \r\n
+    for fmt, line_end in (("jsonl", b"\n"), ("csv", b"\r\n")):
+        paths[f"{fmt} with lone CR"] = root / f"corpus_cr.{fmt}"
+        paths[f"{fmt} with lone CR"].write_bytes(paths[fmt].read_bytes().replace(line_end, b"\r"))
     return paths
 
 
@@ -839,6 +844,8 @@ TWO_FORMAT_SHA256 = {
         ("csv", "more than windows", None),
         ("csv", 2, "spawn"),
         ("csv", 2, "forkserver"),
+        ("jsonl with lone CR", 1, None),
+        ("csv with lone CR", 2, None),
     ],
 )
 def test_artifacts_do_not_depend_on_corpus_format_or_workers(
@@ -850,7 +857,7 @@ def test_artifacts_do_not_depend_on_corpus_format_or_workers(
             pytest.skip(f"no {start_method} start method on this platform")
         _pool_with(monkeypatch, start_method)
     conf = yaml.safe_load(_rewritten_config(fx, corpus=corpora[fmt], out=tmp_path))
-    conf["corpus"]["format"] = fmt
+    conf["corpus"]["format"] = fmt.split()[0]
     config = tmp_path / "cfg.yaml"
     config.write_text(yaml.safe_dump(conf))
     workers = fx.n_windows + 1 if workers == "more than windows" else workers

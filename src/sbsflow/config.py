@@ -6,7 +6,7 @@ without paying for the numeric stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
 import yaml
@@ -49,11 +49,16 @@ class RunConfig:
     config_bytes: bytes
 
 
+class _DatesAsText(yaml.SafeLoader):
+    """A safe loader that leaves a date as the text it is written as, since
+    YAML builds dates while it loads and so refuses ``2021-13-04`` without
+    naming its key; ``_as_date`` parses it instead."""
+
+
+_DatesAsText.add_constructor("tag:yaml.org,2002:timestamp", _DatesAsText.construct_yaml_str)
+
+
 def _as_date(value, failures: list[str], name: str) -> date | None:
-    if isinstance(value, datetime):
-        return value.date()
-    if isinstance(value, date):
-        return value
     try:
         return date.fromisoformat(str(value))
     except (TypeError, ValueError):
@@ -97,9 +102,12 @@ def validate_config(path: str | Path) -> RunConfig:
         raise ConfigError([f"config file not found: {path}"])
     raw_bytes = path.read_bytes()
     try:
-        data = yaml.safe_load(raw_bytes) or {}
+        data = yaml.load(raw_bytes, Loader=_DatesAsText) or {}
     except yaml.YAMLError as exc:
         raise ConfigError([f"config does not parse as YAML: {exc}"]) from None
+    except (ValueError, RecursionError) as exc:
+        # YAML that Python cannot build, as an integer over its digit limit
+        raise ConfigError([f"config holds a value Python cannot build: {exc}"]) from None
     if not isinstance(data, dict):
         raise ConfigError(["config root must be a mapping"])
     base = path.parent

@@ -14,6 +14,7 @@ import codecs
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -227,6 +228,11 @@ def _records(fh: BinaryIO, is_csv: bool) -> Iterator[tuple[int, int, dict | list
                     raw = json.loads(frame)
                 except json.JSONDecodeError:
                     raw = "invalid JSON"
+                # valid JSON that Python cannot build, in a field read or not
+                except ValueError:
+                    raw = f"a number longer than Python's limit of {sys.get_int_max_str_digits():,} digits"
+                except RecursionError:
+                    raw = "nested past Python's recursion limit"
                 else:
                     raw = raw if isinstance(raw, dict) else "record is not an object"
             yield line_no, start, raw

@@ -110,6 +110,9 @@ def parse_registry(path: str | Path) -> list[KeywordSet]:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise RegistryError(f"{path}: registry does not parse as YAML: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # YAML that Python cannot build, as the unquoted date 2020-02-30
+        raise RegistryError(f"{path}: registry holds a value Python cannot build: {exc}; quote it") from None
     if data is None:
         return []
     if not isinstance(data, list):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from datetime import date, datetime, timedelta
 from unittest import mock
 
@@ -372,6 +373,29 @@ class TestLoadCorpus:
         assert docs == [Document("d0", date(2020, 1, 1), "t0", "b0")]
         assert report.rejects == [(7, "expected 4 cells, got 2")]
         assert list(load_corpus(p, IngestConfig(format="csv"), positions=[docs[0].position])) == docs
+
+    @pytest.mark.parametrize("case", ["long_integer", "deep_nesting"])
+    def test_valid_json_python_cannot_build_rejected_at_its_line(self, tmp_path, case):
+        # a bare ValueError or RecursionError used to end ingest, even from a field never read
+        limit = sys.get_int_max_str_digits()
+        if case == "long_integer" and not limit:
+            pytest.skip("integers have no digit limit in this interpreter")
+        value, reason = {
+            "long_integer": ("1" * (limit + 1), f"a number longer than Python's limit of {limit:,} digits"),
+            "deep_nesting": ("[" * 100_000 + "]" * 100_000, "nested past Python's recursion limit"),
+        }[case]
+        p = tmp_path / "c.jsonl"
+        lines = [json.dumps(make_record(i, "2020-01-01")) for i in range(3)]
+        lines[1] = lines[1][:-1] + f', "extra": {value}}}'
+        p.write_text("\n".join(lines) + "\n")
+        report = IngestReport()
+        assert [d.id for d in load_corpus(p, report=report)] == ["d0", "d2"]
+        assert report.rejects == [(2, reason)]
+        # read at its position, the record is refused in the same words
+        position = len(lines[0]) + 1
+        again = IngestReport()
+        assert list(load_corpus(p, report=again, positions=[position])) == []
+        assert again.rejects == [(position, reason)]
 
 
 def every_reject_corpus(fmt: str) -> bytes:

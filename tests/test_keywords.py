@@ -101,6 +101,14 @@ class TestParseRegistry:
         assert str(err.value).startswith(f"{p}: ")
         assert f'in "{p}", line 2' in str(err.value)
 
+    def test_value_yaml_cannot_build_refused_naming_its_file(self, tmp_path):
+        # the run used to end in "pipeline failed: day is out of range for month"
+        p = tmp_path / "kw.yaml"
+        p.write_text("- label: leap\n  members: [2020-02-30]\n")
+        with pytest.raises(RegistryError) as err:
+            parse_registry(p)
+        assert str(err.value) == f"{p}: registry holds a value Python cannot build: day is out of range for month; quote it"
+
     def test_core_fixture_has_29_sets_with_covid_singleton(self):
         sets = parse_registry(fixture_path("keywords_core.yaml"))
         assert len(sets) == 29

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -128,6 +129,27 @@ class TestValidateConfig:
         assert "windw_size: unknown key" in failures
         assert any("window_size" in f for f in failures)
         assert any("start_date" in f for f in failures)
+
+    @pytest.mark.parametrize(
+        "line, failure",
+        [
+            ("start_date: 2021-13-04", "start_date: expected YYYY-MM-DD date, got '2021-13-04'"),
+            ("window_size: 1" + "0" * 5_000, "config holds a value Python cannot build: "),
+        ],
+        ids=["date", "long_integer"],
+    )
+    def test_value_yaml_cannot_build_reported(self, fixture, tmp_path, capsys, line, failure):
+        # YAML built it while loading, so validate ended in a ValueError traceback
+        if line.startswith("window_size") and not sys.get_int_max_str_digits():
+            pytest.skip("integers have no digit limit in this interpreter")
+        key = line.split(":")[0]
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(re.sub(rf"^{key}: .*$", line, _rewritten_config(fixture), flags=re.M))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert len(err.value.failures) == 1 and err.value.failures[0].startswith(failure)
+        assert cli_main(["validate", "--config", str(bad)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):

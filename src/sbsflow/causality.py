@@ -85,21 +85,19 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> RegressionFit:
     return RegressionFit(coefficients=beta, rss=float(resid @ resid), k=cols)
 
 
-def lag_design(y: np.ndarray, x: np.ndarray, p: int, trim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Response and lag blocks on the sample t = trim .. T-1.
+def lag_design(y: np.ndarray, x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Response and lag blocks on the sample t = p .. T-1, for p >= 1.
 
     Returns (response, own-lag block, cross-lag block); each block has
     columns lag 1 .. lag p. For a ``(K, T)`` stack ``x`` the cross-lag
-    block is ``(K, T - trim, p)``, one block per row.
+    block is ``(K, T - p, p)``, one block per row.
     """
     T = len(y)
 
     def lags(s: np.ndarray) -> np.ndarray:
-        if not p:
-            return np.empty(s.shape[:-1] + (T - trim, 0))
-        return np.stack([s[..., trim - j : T - j] for j in range(1, p + 1)], axis=-1)
+        return np.stack([s[..., p - j : T - j] for j in range(1, p + 1)], axis=-1)
 
-    return y[trim:], lags(y), lags(x)
+    return y[p:], lags(y), lags(x)
 
 
 def _by_row(body, y, x, *args) -> list:
@@ -178,7 +176,7 @@ def _bic_lags(y: np.ndarray, xs: np.ndarray, p_max: int) -> list[int | ValueErro
     # the largest candidate fits 2 * p_max + 1 columns on T - p_max rows
     if T - p_max <= 2 * p_max + 1:
         raise ValueError(f"series too short: T={T} needs T > {3 * p_max + 1} for p_max={p_max}")
-    resp, ylags, xlags = lag_design(y, xs, p_max, trim=p_max)
+    resp, ylags, xlags = lag_design(y, xs, p_max)
     t_eff = len(resp)
     k = 2 * p_max + 1
     A = np.empty((len(xs), t_eff, k + 1))
@@ -338,7 +336,7 @@ def _f_tests(y: np.ndarray, xs: np.ndarray, p: int) -> list[tuple[float, float] 
     t_eff = T - p
     if t_eff <= 2 * p + 1:
         raise ValueError(f"series too short: T_eff={t_eff} needs T_eff > {2 * p + 1}")
-    resp, ylags, xlags = lag_design(y, xs, p, trim=p)
+    resp, ylags, xlags = lag_design(y, xs, p)
     if np.ptp(resp) == 0.0 or np.ptp(ylags) == 0.0:
         raise DegenerateSeriesError("target series constant on the estimation sample")
     constant_x = np.ptp(xlags, axis=(1, 2)) == 0.0

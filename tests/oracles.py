@@ -195,7 +195,7 @@ def select_lag_bic_reference(y, x, p_max):
     T = len(y)
     if T - p_max <= 2 * p_max + 1:
         raise ValueError(f"series too short: T={T} needs T > {3 * p_max + 1} for p_max={p_max}")
-    resp, ylags, xlags = lag_design(y, x, p_max, trim=p_max)
+    resp, ylags, xlags = lag_design(y, x, p_max)
     t_eff = len(resp)
     ones = np.ones((t_eff, 1))
     best_p, best_bic = 1, math.inf

@@ -61,7 +61,7 @@ _DatesAsText.add_constructor("tag:yaml.org,2002:timestamp", _DatesAsText.constru
 def _as_date(value, failures: list[str], name: str) -> date | None:
     try:
         return date.fromisoformat(str(value))
-    except (TypeError, ValueError):
+    except ValueError:
         failures.append(f"{name}: expected YYYY-MM-DD date, got {value!r}")
         return None
 

@@ -248,8 +248,14 @@ def _record_at(fh: BinaryIO, is_csv: bool, position: int) -> dict | list[str] | 
 
 
 def _unreadable(path: Path, row: str, why: str | csv.Error) -> CorpusError:
-    limit = f"; a CSV cell holds at most {csv.field_size_limit():,} characters, and JSON Lines has no such limit"
-    return CorpusError(f"CSV corpus {path}: {row} cannot be read: {why}" + (limit if isinstance(why, csv.Error) else ""))
+    """The refusal of a CSV header or record that is not UTF-8 text or that
+    ``csv`` cannot read."""
+    message = f"CSV corpus {path}: {row} cannot be read: {why}"
+    if isinstance(why, csv.Error):
+        message += (
+            f"; a CSV cell holds at most {csv.field_size_limit():,} characters, and JSON Lines has no such limit"
+        )
+    return CorpusError(message)
 
 
 def load_corpus(
@@ -263,9 +269,11 @@ def load_corpus(
 
     Records that are not UTF-8 text, miss an id or date, carry a duplicate
     id, or hold an id that is neither a string nor a finite number or a
-    title or body that is not a string, and CSV records whose cell count
-    differs from the header's, are rejected individually with the line on
-    which they start. The CSV header is the first line that is not blank.
+    title or body that is not a string, JSON Lines records that are not a
+    JSON object or that Python cannot build (an integer over its digit
+    limit, nesting past its recursion limit), and CSV records whose cell
+    count differs from the header's, are rejected individually with the
+    line on which they start. The CSV header is the first line that is not blank.
     An unreadable file, a CSV header that is not UTF-8 text, lacks a
     configured column or names one twice, and a CSV header or record that
     ``csv`` cannot read, as one with a cell over its size limit, are fatal.

@@ -159,7 +159,11 @@ def sequence_cooccurrences(sequences: Iterable[TokenSequence], window_size: int)
 
 
 def merge_cooccurrences(parts: Iterable[Counter]) -> Counter:
-    """Commutative merge of per-document pair counts."""
+    """Commutative merge of per-document pair counts.
+
+    Nothing in sbsflow calls it. It stays because ``perfbench/tracer.py``
+    installs a span on it by name, and the tracer fails to install without it.
+    """
     total: Counter = Counter()
     for part in parts:
         total.update(part)

@@ -107,7 +107,9 @@ class TestParseRegistry:
         p.write_text("- label: leap\n  members: [2020-02-30]\n")
         with pytest.raises(RegistryError) as err:
             parse_registry(p)
-        assert str(err.value) == f"{p}: registry holds a value Python cannot build: day is out of range for month; quote it"
+        assert str(err.value) == (
+            f"{p}: registry holds a value Python cannot build: day is out of range for month; quote it"
+        )
 
     def test_core_fixture_has_29_sets_with_covid_singleton(self):
         sets = parse_registry(fixture_path("keywords_core.yaml"))

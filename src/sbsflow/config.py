@@ -11,8 +11,9 @@ from pathlib import Path
 
 import yaml
 
-from .corpus import IngestConfig
+from .corpus import _COLUMNS, _FORMATS, IngestConfig
 from .keywords import fixture_path
+from .stemming import _STEMMERS
 
 __all__ = ["ConfigError", "RunConfig", "validate_config"]
 
@@ -27,7 +28,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A validated run config; ``validate_config`` owns every default."""
+    """A validated run config; ``validate_config`` owns every default but ``IngestConfig``'s."""
 
     corpus_path: Path
     registry_path: Path
@@ -73,7 +74,12 @@ _TOP_KEYS = frozenset({
     "question_targets", "p_max", "output_dir", "workers",
 })
 _CORPUS_KEYS = frozenset({"path", "format", "fields", "date_format", "include_title"})
-_FIELD_KEYS = frozenset({"id", "date", "title", "body"})
+_FIELD_KEYS = frozenset(key for key, _ in _COLUMNS)
+
+
+def _one_of(names) -> str:
+    *rest, last = map(repr, names)
+    return f"{', '.join(rest)} or {last}"
 
 
 def _is_str(v) -> bool:
@@ -148,26 +154,23 @@ def validate_config(path: str | Path) -> RunConfig:
         corpus = {}
     unknown_keys(corpus, _CORPUS_KEYS, "corpus.")
     corpus_path = required_file(corpus, "path", "corpus.")
-    fmt = str(corpus.get("format", "jsonl"))
-    if fmt not in ("jsonl", "csv"):
-        failures.append(f"corpus.format: must be 'jsonl' or 'csv', got {fmt!r}")
+    fmt = str(corpus.get("format", IngestConfig.format))
+    if fmt not in _FORMATS:
+        failures.append(f"corpus.format: must be {_one_of(_FORMATS)}, got {fmt!r}")
     fields = value(corpus, "fields", {}, _is_str_mapping, "a mapping of strings", "corpus.")
     unknown_keys(fields, _FIELD_KEYS, "corpus.fields.")
     ingest = IngestConfig(
-        format=fmt if fmt in ("jsonl", "csv") else "jsonl",
-        id_field=fields.get("id", "id"),
-        date_field=fields.get("date", "date"),
-        title_field=fields.get("title", "title"),
-        body_field=fields.get("body", "body"),
-        date_format=value(corpus, "date_format", "%Y-%m-%d", _is_str, "a string", "corpus."),
+        format=fmt,
+        date_format=value(corpus, "date_format", IngestConfig.date_format, _is_str, "a string", "corpus."),
+        **{attr: fields[key] for key, attr in _COLUMNS if key in fields},
     )
     include_title = value(
         corpus, "include_title", True, lambda v: isinstance(v, bool), "true or false", "corpus."
     )
 
     language = value(data, "language", "italian", _is_str, "a string").lower()
-    if language not in ("italian", "english", "none"):
-        failures.append(f"language: must be 'italian', 'english' or 'none', got {language!r}")
+    if language not in _STEMMERS:
+        failures.append(f"language: must be {_one_of(_STEMMERS)}, got {language!r}")
 
     registry_path = required_file(data, "registry")
 

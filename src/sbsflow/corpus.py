@@ -69,7 +69,7 @@ class IndexEntry(NamedTuple):
 class IngestConfig:
     """Field mapping and date format for JSON Lines or CSV corpora."""
 
-    format: str = "jsonl"  # "jsonl" or "csv"
+    format: str = "jsonl"  # one of _FORMATS
     id_field: str = "id"
     date_field: str = "date"
     title_field: str = "title"
@@ -91,6 +91,7 @@ _JSON_KINDS = {bool: "a boolean", int: "a number", float: "a number", list: "an 
 # each column a record is read from: the corpus.fields key that renames it,
 # and the IngestConfig attribute that holds its name
 _COLUMNS = (("id", "id_field"), ("date", "date_field"), ("title", "title_field"), ("body", "body_field"))
+_FORMATS = ("jsonl", "csv")  # the corpus formats load_corpus reads
 
 
 def _parse_record(
@@ -287,7 +288,7 @@ def load_corpus(
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"corpus file not found: {path}")
-    if cfg.format not in ("jsonl", "csv"):
+    if cfg.format not in _FORMATS:
         raise CorpusError(f"unknown corpus format {cfg.format!r}")
     seen: set[str] = set()
     dates: dict[str, date | None] = {}

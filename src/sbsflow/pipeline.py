@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 import time
@@ -411,14 +410,7 @@ def _write_manifest(out: Path, manifest: dict, artifacts: list[Path]) -> None:
 
 def _dump_number(cell: str, column: str, where: str, parse=float):
     """The finite number in ``cell``, or a refusal naming its column."""
-    # int and float also read "_" separators, padding and non-ASCII digits,
-    # none of which the writers emit
-    plain = cell.isascii() and "_" not in cell and cell == cell.strip()
-    try:
-        value = parse(cell) if plain else math.nan
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+    if (value := series.finite_number(cell, parse)) is None:
         raise PipelineError(f"{where}, column {column!r}: expected a finite {parse.__name__}, got {cell!r}")
     return value
 

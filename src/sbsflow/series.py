@@ -58,12 +58,23 @@ def _next_month(d: date) -> date:
     return date(d.year + 1, 1, 1) if d.month == 12 else date(d.year, d.month + 1, 1)
 
 
+def finite_number(cell: str, parse=float):
+    """The finite number ``parse`` reads in ``cell``, if ASCII with no ``_`` or padding; else None."""
+    if not cell.isascii() or "_" in cell or cell != cell.strip():
+        return None
+    try:
+        value = parse(cell)
+    except ValueError:
+        return None
+    return value if abs(value) < np.inf else None  # unlike np.isfinite, exact for any int
+
+
 def load_monthly(path: str | Path) -> list[MonthlySeries]:
     """Parse ``month,series1,series2,...`` CSV with YYYY-MM months.
 
     Blank or repeated series names, names holding a carriage return, month
     cells other than ASCII digits around one ``-``, month gaps, duplicate
-    months and non-numeric cells (``_`` digit separators included) are
+    months and value cells that ``finite_number`` refuses once stripped are
     fatal, reported with their row and column.
     """
     path = Path(path)
@@ -114,16 +125,9 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
                     )
             months.append(m)
             for col, cell in enumerate(row[1:]):
-                try:
-                    if "_" in cell:  # float reads "100_5" as 1005.0
-                        raise ValueError(cell)
-                    v = float(cell)
-                except ValueError:
-                    raise SeriesError(
-                        f"{path}: row {row_no}, column {names[col]!r}: non-numeric cell {cell!r}"
-                    ) from None
-                if not np.isfinite(v):
-                    raise SeriesError(f"{path}: row {row_no}, column {names[col]!r}: non-finite value")
+                v = finite_number(cell.strip())
+                if v is None:
+                    raise SeriesError(f"{path}: row {row_no}, column {names[col]!r}: non-numeric cell {cell!r}")
                 columns[col].append(v)
     return [
         MonthlySeries(name=name, months=tuple(months), values=tuple(col))

@@ -435,8 +435,8 @@ class ItalianStemmer(Stemmer):
 
 
 _STEMMERS = {
-    "english": PorterStemmer,
     "italian": ItalianStemmer,
+    "english": PorterStemmer,
     "none": NullStemmer,
 }
 

@@ -735,13 +735,17 @@ class TestStaleScoreDump:
             (_ending_covid_row(",\u0663"), ", line {line}, column 'sbs': expected a finite float, got '\u0663'"),
             (lambda lines, i: [*lines[:i], " " + lines[i], *lines[i + 1:]],
              ", line {line}, column 'window_index': expected a finite int, got ' 0'"),
+            # an int past a float's range stopped the run with a bare OverflowError
+            (lambda lines, i: [*lines[:i], "9" * 400 + lines[i][1:], *lines[i + 1:]],
+             ", line {line} has window " + "9" * 400 + ", outside this config's windows"),
             (_ending_covid_row(""), ", line {line}: expected 10 cells, got 9"),
             (lambda lines, i: [*lines[: i + 1], lines[i], *lines[i + 1:]],
              ", line {repeat}: keyword 'covid' appears twice in window 0"),
         ],
         ids=[
             "no_sbs_column", "non_numeric_cell", "nan_cell", "digit_separator_cell",
-            "non_ascii_digit_cell", "padded_window_index", "short_row", "repeated_row",
+            "non_ascii_digit_cell", "padded_window_index", "window_index_past_float_range",
+            "short_row", "repeated_row",
         ],
     )
     def test_malformed_dump_refused_with_location(

@@ -77,6 +77,16 @@ class TestLoadMonthly:
             load_monthly(p)
         assert str(err.value) == f"{p}: row 3, column 'climate': non-numeric cell '100_5'"
 
+    @pytest.mark.parametrize("cell", ["\u0661\u0660\u0660", "\uff11\uff10\uff10", "nan", "-inf", "1e400"])
+    def test_value_other_than_a_finite_ascii_number_fatal(self, tmp_path, cell):
+        # float alone reads the Arabic-Indic and full-width digits as 100.0,
+        # as the month cell and the score dump do not
+        p = tmp_path / "m.csv"
+        p.write_text(f"month,climate\n2017-01,1\n2017-02,{cell}\n", encoding="utf-8")
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}: row 3, column 'climate': non-numeric cell {cell!r}"
+
     @pytest.mark.parametrize("cell", ["20_17-01", "2017-0_2", "２０１７-03", "2017 - 04"])
     def test_month_other_than_ascii_digits_fatal(self, tmp_path, cell):
         # int alone reads "_" separators, padding and full-width digits

@@ -5,6 +5,7 @@ without paying for the numeric stack.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -59,12 +60,18 @@ class _DatesAsText(yaml.SafeLoader):
 _DatesAsText.add_constructor("tag:yaml.org,2002:timestamp", _DatesAsText.construct_yaml_str)
 
 
+# date.fromisoformat alone also reads 20210104 and 2021-W01-1 from Python 3.11 on
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _as_date(value, failures: list[str], name: str) -> date | None:
-    try:
-        return date.fromisoformat(str(value))
-    except ValueError:
-        failures.append(f"{name}: expected YYYY-MM-DD date, got {value!r}")
-        return None
+    if isinstance(value, str) and _DATE.fullmatch(value):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:  # a month or day out of range
+            pass
+    failures.append(f"{name}: expected YYYY-MM-DD date, got {value!r}")
+    return None
 
 
 # keys validate_config reads; every other key is refused

@@ -151,6 +151,25 @@ class TestValidateConfig:
         assert cli_main(["validate", "--config", str(bad)]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, got",
+        [
+            ("start_date: 20210104", "20210104"),
+            ("start_date: 2021-W01-1", "'2021-W01-1'"),
+            ("start_date: 2021W011", "'2021W011'"),
+            ("start_date: '2021-01-04 '", "'2021-01-04 '"),
+            ("start_date: '\uff12\uff10\uff12\uff11-01-04'", "'\uff12\uff10\uff12\uff11-01-04'"),
+        ],
+        ids=["integer", "iso_week", "iso_week_basic", "padded", "full_width_digits"],
+    )
+    def test_date_other_than_yyyy_mm_dd_refused(self, fixture, tmp_path, line, got):
+        # date.fromisoformat reads the first three as 2021-01-04 from Python 3.11 on
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(re.sub(r"^start_date: .*$", line, _rewritten_config(fixture), flags=re.M))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.failures == [f"start_date: expected YYYY-MM-DD date, got {got}"]
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             validate_config(tmp_path / "none.yaml")

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 __all__ = [
     "Document",
@@ -257,6 +257,27 @@ def _unreadable(path: Path, row: str, why: str | csv.Error) -> CorpusError:
             f"; a CSV cell holds at most {csv.field_size_limit():,} characters, and JSON Lines has no such limit"
         )
     return CorpusError(message)
+
+
+def not_utf8(path: Path, error: type[Exception], what: str) -> Exception:
+    """``error`` saying that ``what``, the file at ``path``, is not UTF-8
+    text, with the line of its first byte that is not."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        what += f", line {len((raw[:exc.start] + b'.').splitlines())}"
+    return error(f"{what}: not UTF-8 text")
+
+
+def utf8_lines(fh: TextIO, error: type[Exception], what: str) -> Iterator[str]:
+    """The lines of ``fh``, a file opened as UTF-8 text; a byte that is not
+    UTF-8 raises ``not_utf8``'s refusal, since the file decodes in chunks
+    and so cannot say on which line it failed."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise not_utf8(Path(fh.name), error, what) from None
 
 
 def load_corpus(

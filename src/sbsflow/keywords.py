@@ -22,6 +22,7 @@ from pathlib import Path
 
 import yaml
 
+from .corpus import not_utf8
 from .stemming import Stemmer
 from .textproc import tokenize
 
@@ -88,9 +89,15 @@ def fixture_path(name: str) -> Path:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One stop-word per line; blank lines and '#' comments are skipped."""
-    # utf-8-sig drops the byte-order mark some editors write at the start
-    lines = (line.strip() for line in Path(path).read_text(encoding="utf-8-sig").splitlines())
+    """One stop-word per line; blank lines and '#' comments are skipped, and
+    a file that is not UTF-8 text is refused at its line."""
+    path = Path(path)
+    try:
+        # utf-8-sig drops the byte-order mark some editors write at the start
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise not_utf8(path, RegistryError, f"stop-words {path}") from None
+    lines = (line.strip() for line in text.splitlines())
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
@@ -103,13 +110,15 @@ def _text(value: object, what: str) -> str:
 
 
 def parse_registry(path: str | Path) -> list[KeywordSet]:
-    """Load keyword sets, enforcing unique labels and surface forms."""
+    """Load keyword sets, enforcing unique labels and surface forms and UTF-8 text."""
     try:
         # from the open file, so that a parse error's marks name it
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise RegistryError(f"{path}: registry does not parse as YAML: {exc}") from None
+    except UnicodeDecodeError:
+        raise not_utf8(Path(path), RegistryError, f"registry {path}") from None
     except (ValueError, RecursionError) as exc:
         # YAML that Python cannot build, as the unquoted date 2020-02-30
         raise RegistryError(f"{path}: registry holds a value Python cannot build: {exc}; quote it") from None

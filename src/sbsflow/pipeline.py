@@ -24,7 +24,7 @@ import scipy
 
 from . import causality, series, textproc
 from .config import ConfigError, RunConfig, validate_config
-from .corpus import WEEK, IndexEntry, IngestReport, assign_windows, build_windows, load_corpus
+from .corpus import WEEK, IndexEntry, IngestReport, assign_windows, build_windows, load_corpus, utf8_lines
 from .keywords import CanonicalMap, compile_canonical_map, load_stopwords, parse_registry
 from .series import WeeklySeries
 from .stemming import get_stemmer
@@ -417,12 +417,12 @@ def _dump_number(cell: str, column: str, where: str, parse=float):
 
 def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list[WeeklySeries]:
     """Each keyword's ``sbs`` series from a score dump, in ``keywords`` order,
-    refusing a dump that does not hold one row of finite numbers per window
-    of ``starts`` and keyword, each dated with that window's start."""
+    refusing a dump that is not UTF-8 text or does not hold one row of finite
+    numbers per window of ``starts`` and keyword, each dated with that window's start."""
     n_windows = len(starts)
     sbs_by_window: list[dict[str, float]] = [{} for _ in range(n_windows)]
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(utf8_lines(fh, PipelineError, f"score dump {path}"))
         header = next(reader, [])
         if tuple(header) != _SCORES_HEADER:
             raise PipelineError(f"score dump {path}, line 1: header {header}, not {list(_SCORES_HEADER)}")

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .corpus import utf8_lines
+
 __all__ = [
     "MonthlySeries",
     "WeeklySeries",
@@ -75,12 +77,13 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
     Blank or repeated series names, names holding a carriage return, month
     cells other than ASCII digits around one ``-``, month gaps, duplicate
     months and value cells that ``finite_number`` refuses once stripped are
-    fatal, reported with their row and column.
+    fatal, reported with their row and column; so is a file that is not
+    UTF-8 text, at its line.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark some editors write at the start
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(utf8_lines(fh, SeriesError, str(path)))
         try:
             header = next(reader)
         except StopIteration:

@@ -111,6 +111,17 @@ class TestParseRegistry:
             f"{p}: registry holds a value Python cannot build: day is out of range for month; quote it"
         )
 
+    @pytest.mark.parametrize(
+        "encoding, line", [("latin-1", 2), ("utf-16", 1)], ids=["latin_1", "utf_16"]
+    )
+    def test_registry_that_is_not_utf8_refused_at_its_line(self, tmp_path, encoding, line):
+        # it was "a value Python cannot build ...; quote it", which no quoting mends
+        p = tmp_path / "kw.yaml"
+        p.write_text("- label: citta\n  members: [città]\n", encoding=encoding)
+        with pytest.raises(RegistryError) as err:
+            parse_registry(p)
+        assert str(err.value) == f"registry {p}, line {line}: not UTF-8 text"
+
     def test_core_fixture_has_29_sets_with_covid_singleton(self):
         sets = parse_registry(fixture_path("keywords_core.yaml"))
         assert len(sets) == 29
@@ -249,3 +260,12 @@ def test_byte_order_mark_is_not_part_of_the_first_stopword(tmp_path):
     p = tmp_path / "stop.txt"
     p.write_text("the\n# comment\nof\n", encoding="utf-8-sig")
     assert load_stopwords(p) == {"the", "of"}
+
+
+def test_stopwords_that_are_not_utf8_refused_at_their_line(tmp_path):
+    # a bare UnicodeDecodeError named no file
+    p = tmp_path / "stop.txt"
+    p.write_text("the\r\nof\r\nperché\r\n", encoding="latin-1")
+    with pytest.raises(RegistryError) as err:
+        load_stopwords(p)
+    assert str(err.value) == f"stop-words {p}, line 3: not UTF-8 text"

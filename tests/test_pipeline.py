@@ -781,6 +781,19 @@ class TestStaleScoreDump:
         assert where + refusal.format(line=i + 1, repeat=i + 2) in capsys.readouterr().err
         self._assert_refused_at_read_scores(out, before)
 
+    def test_dump_that_is_not_utf8_refused_at_its_line(self, fixture, scored_and_tested, tmp_path, capsys):
+        # a bare UnicodeDecodeError named neither the file nor the line
+        latin_1 = tmp_path / "latin_1"
+        shutil.copytree(scored_and_tested, latin_1)
+        lines = (latin_1 / SCORES_CSV).read_text(encoding="utf-8").splitlines(keepends=True)
+        idx, start, _, rest = lines[3].split(",", 3)
+        lines[3] = ",".join([idx, start, "città", rest])
+        (latin_1 / SCORES_CSV).write_bytes("".join(lines).encode("latin-1"))
+        rc, out, before = self._test_with(fixture, latin_1, tmp_path)
+        assert rc == 2
+        assert f"score dump {out / SCORES_CSV}, line 4: not UTF-8 text" in capsys.readouterr().err
+        self._assert_refused_at_read_scores(out, before)
+
     @staticmethod
     def _assert_refused_at_read_scores(out, before):
         manifest = json.loads((out / MANIFEST_JSON).read_text())

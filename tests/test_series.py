@@ -96,6 +96,17 @@ class TestLoadMonthly:
             load_monthly(p)
         assert str(err.value) == f"{p}: row 2: bad month {cell!r}"
 
+    @pytest.mark.parametrize("bad_row", [2, 1500])
+    def test_file_that_is_not_utf8_refused_at_its_line(self, tmp_path, bad_row):
+        # the file decodes in chunks, so the line comes from its bytes
+        rows = [f"{2000 + i // 12}-{i % 12 + 1:02d},1" for i in range(2000)]
+        rows[bad_row - 2] += "\xe9"
+        p = tmp_path / "m.csv"
+        p.write_bytes(("month,climate\n" + "\n".join(rows) + "\n").encode("latin-1"))
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}, line {bad_row}: not UTF-8 text"
+
     def test_padded_cells_accepted(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("month,climate\n2017-01, 101.5\n2017-02,102.25 \n")

@@ -460,14 +460,16 @@ def assign_stars(p_value: float) -> str:
 
 @dataclass(frozen=True)
 class GrangerResult:
+    """One keyword/target row of the battery; a failed pair keeps only its ``status``."""
+
     keyword: str
     target: str
-    lags: int | None
-    f_stat: float | None
-    p_value: float | None
-    stars: str
-    cc_sign: str
-    status: str  # "ok" or the failure reason
+    lags: int | None = None
+    f_stat: float | None = None
+    p_value: float | None = None
+    stars: str = ""
+    cc_sign: str = ""
+    status: str = "ok"  # or the failure reason
 
 
 def _target_block(
@@ -494,26 +496,12 @@ def _target_block(
     for i, keyword in enumerate(keywords):
         outcome = signs.get(i, tests[i])
         if isinstance(outcome, ValueError):
+            results.append(GrangerResult(keyword, target, status=str(outcome)))
+        else:
+            f_stat, p_value = tests[i]
             results.append(
-                GrangerResult(
-                    keyword=keyword, target=target, lags=None, f_stat=None,
-                    p_value=None, stars="", cc_sign="", status=str(outcome),
-                )
+                GrangerResult(keyword, target, lags[i], f_stat, p_value, assign_stars(p_value), outcome.sign)
             )
-            continue
-        f_stat, p_value = tests[i]
-        results.append(
-            GrangerResult(
-                keyword=keyword,
-                target=target,
-                lags=lags[i],
-                f_stat=f_stat,
-                p_value=p_value,
-                stars=assign_stars(p_value),
-                cc_sign=outcome.sign,
-                status="ok",
-            )
-        )
     return results
 
 

@@ -66,6 +66,10 @@ class TestOlsFit:
             ols_fit(X, rng.normal(size=40))
         assert set(err.value.columns) & {1, 2}
 
+    def test_design_that_is_not_2d_rejected(self):
+        with pytest.raises(ValueError, match="design must be a 2-d matrix"):
+            ols_fit(np.ones(5), np.ones(5))
+
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError):
             ols_fit(np.ones((3, 4)), np.ones(3))
@@ -143,6 +147,11 @@ class TestFUpperTail:
     def test_monotone_in_f(self, f1, f2, d1, d2):
         lo, hi = sorted([f1, f2])
         assert f_upper_tail(hi, d1, d2) <= f_upper_tail(lo, d1, d2) + 1e-15
+
+    @pytest.mark.parametrize("d1, d2", [(0, 10), (1, 0), (-3, 10)])
+    def test_degrees_of_freedom_below_one_refused(self, d1, d2):
+        with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
+            f_upper_tail(2.0, d1, d2)
 
     @pytest.mark.parametrize(
         "f, d1, d2",
@@ -378,6 +387,13 @@ class TestRunBattery:
         with pytest.raises(ValueError, match=rf"{repeated} series names repeat.*\['s'\]"):
             run_battery(kws, targets, p_max=3)
 
+    @pytest.mark.parametrize("empty", ["keywords", "targets"])
+    def test_empty_battery_refused(self, rng, empty):
+        series = [_weekly("s", rng.normal(size=60))]
+        kws, targets = ([], series) if empty == "keywords" else (series, [])
+        with pytest.raises(ValueError, match="need at least one keyword series and one target series"):
+            run_battery(kws, targets)
+
     def test_too_short_pair_reported_in_status(self, rng):
         out = run_battery([_weekly("kw", rng.normal(size=20))], [_weekly("t", rng.normal(size=20))], p_max=8)
         assert out[0].status == "series too short: T=20 needs T > 25 for p_max=8"
@@ -600,6 +616,19 @@ class TestStackedCalls:
 
     def test_empty_stack(self, rng):
         assert select_lag_bic(rng.normal(size=60), np.empty((0, 60)), 4) == []
+
+    @pytest.mark.parametrize(
+        "fn, arg, message",
+        [
+            (select_lag_bic, 0, "p_max must be >= 1"),
+            (granger_test, 0, "lag order must be >= 1"),
+            (cross_correlation_sign, -1, "max_lag must be >= 0"),
+        ],
+        ids=["p_max", "lag_order", "max_lag"],
+    )
+    def test_lag_argument_below_its_minimum_is_every_rows_exception(self, rng, fn, arg, message):
+        out = fn(rng.normal(size=60), rng.normal(size=(2, 60)), arg)
+        assert [(type(e), str(e)) for e in out] == [(ValueError, message)] * 2
 
     def test_shapes_refused_for_the_whole_call(self, rng):
         with pytest.raises(ValueError, match="series lengths differ: 60 vs 50"):

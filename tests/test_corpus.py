@@ -112,6 +112,12 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             list(load_corpus(tmp_path / "nope.jsonl"))
 
+    def test_unknown_format_fatal(self, tmp_path):
+        p = tmp_path / "c.xml"
+        p.write_text("<corpus/>\n")
+        with pytest.raises(CorpusError, match="unknown corpus format 'xml'"):
+            list(load_corpus(p, IngestConfig(format="xml")))
+
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"id": "a", "date": "2020-01-01"}\nnot json\n')

@@ -87,6 +87,27 @@ class TestParseRegistry:
             parse_registry(p)
         assert str(err.value) == f"{p}: {message} as YAML reads it, not text; quote it"
 
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("label: covid\nmembers: [covid]\n", "registry must be a list of keyword blocks"),
+            ("- members: [covid]\n", "block 0 has no 'label'"),
+            ("- covid\n", "block 0 has no 'label'"),
+            ("- label: covid\n  members: []\n", "block 0 (covid): members must be a non-empty list"),
+            ("- label: covid\n", "block 0 (covid): members must be a non-empty list"),
+            ("- label: covid\n  members: covid\n", "block 0 (covid): members must be a non-empty list"),
+            ("- label: covid\n  members: [covid, '  ']\n", "block 0 (covid): empty member"),
+        ],
+        ids=["not_a_list", "no_label", "block_not_a_mapping", "empty_members", "no_members",
+             "members_not_a_list", "blank_member"],
+    )
+    def test_malformed_block_refused(self, tmp_path, text, refusal):
+        p = tmp_path / "kw.yaml"
+        p.write_text(text)
+        with pytest.raises(RegistryError) as err:
+            parse_registry(p)
+        assert str(err.value) == f"{p}: {refusal}"
+
     def test_quoted_yaml_words_are_members(self, tmp_path):
         p = tmp_path / "kw.yaml"
         p.write_text('- label: vote\n  members: ["no", "yes", "on", "off", "~"]\n')
@@ -155,6 +176,20 @@ class TestCompileCanonicalMap:
         assert st.stem("saving") == st.stem("savings") == "save"
         cm = compile_canonical_map([KeywordSet("savings", ("saving", "savings"))], st)
         assert cm.stem_map["save"] == "savings"
+
+    @pytest.mark.parametrize(
+        "member, stopwords", [("19", frozenset()), ("the", frozenset({"the"}))], ids=["digits", "stop_word"]
+    )
+    def test_member_with_no_tokens_refused(self, member, stopwords):
+        with pytest.raises(RegistryError, match=f"member '{member}' of 'covid' has no tokens"):
+            compile_canonical_map([KeywordSet("covid", ("covid", member))], PorterStemmer(), stopwords)
+
+    def test_label_that_is_another_labels_stem_refused(self):
+        # "saving" stems to "save", so the label "save" would not map to itself
+        sets = [KeywordSet("savings", ("saving",)), KeywordSet("save", ("rescue",))]
+        with pytest.raises(RegistryError) as err:
+            compile_canonical_map(sets, PorterStemmer())
+        assert str(err.value) == "label 'save' collides with a stem of 'saving' (savings)"
 
     def test_cross_label_stem_collision_fatal(self):
         with pytest.raises(RegistryError) as err:

@@ -170,6 +170,37 @@ class TestValidateConfig:
             validate_config(bad)
         assert err.value.failures == [f"start_date: expected YYYY-MM-DD date, got {got}"]
 
+    @pytest.mark.parametrize(
+        "name, value, failure",
+        [
+            ("language", "French", "language: must be 'italian', 'english' or 'none', got 'french'"),
+            ("stopwords", "absent.txt", "stopwords: file not found: {base}/absent.txt"),
+            ("corpus.format", "xml", "corpus.format: must be 'jsonl' or 'csv', got 'xml'"),
+        ],
+        ids=["language", "stopwords", "corpus_format"],
+    )
+    def test_value_that_names_nothing_refused(self, fixture, tmp_path, name, value, failure):
+        conf = yaml.safe_load(_rewritten_config(fixture))
+        section, _, key = name.rpartition(".")
+        (conf[section] if section else conf)[key] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(conf))
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.failures == [failure.format(base=tmp_path)]
+
+    @pytest.mark.parametrize(
+        "text, failure",
+        [("corpus: [unclosed\n", "config does not parse as YAML: "), ("- a list\n", "config root must be a mapping")],
+        ids=["not_yaml", "not_a_mapping"],
+    )
+    def test_file_that_is_not_a_yaml_mapping_refused(self, tmp_path, text, failure):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert len(err.value.failures) == 1 and err.value.failures[0].startswith(failure)
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             validate_config(tmp_path / "none.yaml")
@@ -509,6 +540,24 @@ class TestRunPipeline:
         with (out / PLOT_CSV).open(newline="") as fh:
             plotted = list(csv.DictReader(fh))
         assert {col: [row[col] for row in plotted] for col in dumped} == dumped
+
+    def test_unknown_stage_mode_refused(self, completed_run, tmp_path):
+        _, cfg, _ = completed_run
+        with pytest.raises(ValueError, match="unknown stage_mode 'tset'"):
+            run_pipeline(cfg, out_dir=tmp_path, stage_mode="tset")
+        assert not list(tmp_path.iterdir())
+
+    def test_configured_series_missing_from_the_monthly_file_fails_at_targets(
+        self, fixture, scored_and_tested, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(scored_and_tested, out)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(_rewritten_config(fixture, out=out, question_targets=["absent"]))
+        assert cli_main(["test", "--config", str(config)]) == 2
+        assert "monthly target file lacks configured series: ['absent']" in capsys.readouterr().err
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert manifest["failed_stage"] == "targets"
 
     def test_test_mode_without_scores_fails(self, fixture, tmp_path):
         cfg = validate_config(fixture.config_path)

@@ -107,6 +107,28 @@ class TestLoadMonthly:
             load_monthly(p)
         assert str(err.value) == f"{p}, line {bad_row}: not UTF-8 text"
 
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("", "empty file"),
+            ("when,climate\n2017-01,1\n", "header must be 'month,<series>...', got ['when', 'climate']"),
+            ("month\n2017-01\n", "header must be 'month,<series>...', got ['month']"),
+            ("month,climate,personal\n2017-01,1,2\n2017-02,3\n", "row 3: expected 3 cells, got 2"),
+        ],
+        ids=["empty", "first_column_not_month", "no_series", "short_row"],
+    )
+    def test_malformed_file_fatal(self, tmp_path, text, refusal):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}: {refusal}"
+
+    def test_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("month,climate\n2017-01,1\n\n , \n2017-02,2\n")
+        assert load_monthly(p)[0].values == (1.0, 2.0)
+
     def test_padded_cells_accepted(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("month,climate\n2017-01, 101.5\n2017-02,102.25 \n")

@@ -58,6 +58,56 @@ ITALIAN_VECTORS = {
 }
 
 
+# One word per branch of the Italian step 1, step 3b and the prelude,
+# derived by hand from the Snowball rules. Positions count from 0; RV, R1
+# and R2 are the start of each region, and a suffix is in a region when it
+# starts at or after the region's start.
+ITALIAN_BRANCH_VECTORS = {
+    # RV 3, R1 3, R2 6: enze at 6 is in R2, becomes ente; step 3a drops e
+    "differenze": "different",
+    # RV 3, R1 3, R2 5: logia at 6 is in R2, becomes log
+    "metodologia": "metodolog",
+    # RV 3, R1 3, R2 7: amento at 5 is in RV and goes; step 3a drops i at 4
+    "cambiamento": "camb",
+    # RV 3, R1 5, R2 7: amente at 5 is in R1 and goes; no follow-up suffix
+    "chiaramente": "chiar",
+    # RV 3, R1 3, R2 5: amente at 7 goes; os at 5 is in R2 and goes
+    "generosamente": "gener",
+    # RV 3, R1 2, R2 4: amente at 8 goes; ic at 6 is in R2 and goes
+    "economicamente": "econom",
+    # RV 3, R1 3, R2 5: amente at 7 goes; iv at 5 goes; at at 3 is not in R2
+    "relativamente": "relat",
+    # RV 3, R1 3, R2 6: amente at 10 goes; iv at 8 and then at at 6 go
+    "comparativamente": "compar",
+    # RV 3, R1 3, R2 6: ità at 11 goes; abil at 7 is in R2 and goes
+    "responsabilità": "respons",
+    # RV 3, R1 2, R2 4: ità at 8 goes; ic at 6 goes
+    "elettricità": "elettr",
+    # RV 3, R1 4, R2 6: ità at 9 goes; iv at 7 goes
+    "produttività": "produtt",
+    # RV 3, R1 4, R2 7: ivo at 8 is in R2 and goes; no at before it
+    "progressivo": "progress",
+    # RV 3, R1 3, R2 5: ivo at 5 goes; at at 3 is not in R2
+    "negativo": "negat",
+    # RV 4, R1 2, R2 5: ivo at 8 goes; at at 6 goes; no ic before it
+    "informativo": "inform",
+    # RV 3, R1 3, R2 5: iva at 9 goes; at at 7 and then ic at 5 go
+    "comunicativa": "comun",
+    # RV 3, R1 3, R2 5: azione at 7 goes; ic at 5 goes
+    "comunicazione": "comun",
+    # RV 3, R1 3, R2 6: azione at 1 is not in R2, so step 1 leaves the word;
+    # step 2 finds no verb suffix in RV; step 3a drops e
+    "nazione": "nazion",
+    # RV 3: step 3a drops e at 5; step 3b turns ch at 3 into c
+    "banche": "banc",
+    # RV 3: step 3a drops i at 5; step 3b turns gh at 3 into g
+    "luoghi": "luog",
+    # prelude: the i at 3 between o and a is marked I, a consonant; RV 3:
+    # step 3a drops a but not the marked I, which an unmarked i would lose
+    "gioia": "gioi",
+}
+
+
 class TestPorter:
     @pytest.mark.parametrize("word,expected", sorted(PORTER_VECTORS.items()))
     def test_published_vectors(self, word, expected):
@@ -83,6 +133,10 @@ class TestPorter:
 class TestItalian:
     @pytest.mark.parametrize("word,expected", sorted(ITALIAN_VECTORS.items()))
     def test_derived_vectors(self, word, expected):
+        assert ItalianStemmer().stem(word) == expected
+
+    @pytest.mark.parametrize("word,expected", sorted(ITALIAN_BRANCH_VECTORS.items()))
+    def test_one_word_per_branch(self, word, expected):
         assert ItalianStemmer().stem(word) == expected
 
     def test_acute_accents_folded_to_grave(self):

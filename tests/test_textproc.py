@@ -57,6 +57,12 @@ class TestTokenize:
         with pytest.raises(ValueError, match="min_len must be >= 1"):
             tokenize("²ab x½", min_len)
 
+    @pytest.mark.parametrize("text, tokens", [("ab²cd", ["ab", "cd"]), ("a²bc³d", ["bc"])])
+    def test_run_holding_a_non_decimal_digit_splits_there(self, text, tokens):
+        # "²" is numeric but not a decimal digit, so the regex run holds it
+        # and the character-by-character path splits the run around it
+        assert tokenize(text) == tokens
+
     def test_single_letter_tokens_dropped_by_default(self):
         assert tokenize("l'arte e il mare") == ["arte", "il", "mare"]
         assert tokenize("l'arte e il mare", min_len=1) == ["l", "arte", "e", "il", "mare"]

@@ -3,17 +3,19 @@
 Everything here is deliberately written with different algorithms than the
 library: exhaustive path enumeration instead of Brandes, a hand-rolled
 tridiagonal solve instead of scipy's spline, normal equations instead of
-QR, one ``ols_fit`` per BIC candidate instead of one QR per pair, and
-``np.corrcoef`` per lag instead of centred dot products. Tests compare the
-two routes.
+QR, scipy's ``qr`` and ``solve_triangular`` wrappers instead of direct
+LAPACK calls, one ``ols_fit`` per BIC candidate instead of one QR per pair,
+and ``np.corrcoef`` per lag instead of centred dot products. Tests compare
+the two routes.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
 
-from sbsflow.causality import DegenerateSeriesError, lag_design, ols_fit
+from sbsflow.causality import DegenerateSeriesError, RankDeficientError, RegressionFit, lag_design, ols_fit
 
 RTOL = 1e-12
 
@@ -143,6 +145,23 @@ def normal_equations_ols(X, y):
     beta = np.linalg.solve(X.T @ X, X.T @ y)
     resid = y - X @ beta
     return beta, float(resid @ resid)
+
+
+def scipy_wrapper_ols(X, y) -> RegressionFit:
+    """``ols_fit`` through ``scipy.linalg.qr(mode="economic", pivoting=True)``
+    and ``solve_triangular``, with the same rank tolerance."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rows, cols = X.shape
+    Q, R, piv = qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(rows, cols) * np.finfo(float).eps))
+    if rank < cols:
+        raise RankDeficientError(sorted(int(c) for c in piv[rank:]))
+    beta = np.empty(cols)
+    beta[piv] = solve_triangular(R, Q.T @ y)
+    resid = y - X @ beta
+    return RegressionFit(coefficients=beta, rss=float(resid @ resid), k=cols)
 
 
 def brute_force_pairs(tokens, window_size):

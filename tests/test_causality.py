@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_row
-from oracles import cross_correlation_reference, normal_equations_ols, select_lag_bic_reference
+from oracles import (
+    cross_correlation_reference,
+    normal_equations_ols,
+    scipy_wrapper_ols,
+    select_lag_bic_reference,
+)
 from sbsflow import causality
 from sbsflow.causality import (
     CrossCorrelation,
@@ -73,6 +78,46 @@ class TestOlsFit:
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError):
             ols_fit(np.ones((3, 4)), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["design", "response"])
+    def test_non_finite_input_refused(self, rng, bad, where):
+        X = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
+        y = rng.normal(size=40)
+        (X if where == "design" else y)[7] = bad
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            ols_fit(X, y)
+
+    def test_direct_lapack_calls_equal_scipys_wrappers(self):
+        # the battery's designs: an intercept and 1 + p or 1 + 2p columns for
+        # p = 1..8 on up to 200 rows, column scales from 1e-3 to 1e3; every
+        # seventh is rounded to one decimal so that pivots tie, and every
+        # eleventh has one column a multiple of another
+        rng = np.random.default_rng(29)
+
+        def outcome(fit, X, y):
+            try:
+                got = fit(X, y)
+            except RankDeficientError as exc:
+                return exc.columns
+            return got.coefficients.tobytes(), got.rss, got.k
+
+        dependent = 0
+        for n in range(3000):
+            p = int(rng.integers(1, 9))
+            cols = 1 + p * int(rng.integers(0, 3))
+            rows = int(rng.integers(3 * p + 2, 201))
+            scales = 10.0 ** rng.uniform(-3, 3, size=cols - 1)
+            X = np.column_stack([np.ones(rows), rng.normal(size=(rows, cols - 1)) * scales])
+            if n % 7 == 0:
+                X = np.round(X, 1)
+            if n % 11 == 0 and cols > 2:
+                X[:, -1] = 3.0 * X[:, 1]
+            y = rng.normal(size=rows) * 10.0 ** rng.uniform(-3, 3)
+            want = outcome(scipy_wrapper_ols, X, y)
+            assert outcome(ols_fit, X, y) == want, n
+            dependent += isinstance(want, list)
+        assert dependent > 200
 
 
 class TestSelectLagBic:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
 from .series import WeeklySeries
 
@@ -57,11 +57,28 @@ class RegressionFit:
     k: int
 
 
+# scipy's message for a non-finite array, kept for the battery's status column
+_NON_FINITE = "array must not contain infs or NaNs"
+
+
+def _lapack(routine, *args, **kwargs) -> list:
+    """``routine``'s outputs after its workspace query, as scipy's wrappers
+    make the call; a nonzero ``info`` is an error."""
+    lwork = routine(*args, lwork=-1, **kwargs)[-2][0]
+    *out, _work, info = routine(*args, lwork=int(lwork), **kwargs)
+    if info:
+        raise ValueError(f"LAPACK {routine.__name__} failed with info {info}")
+    return out
+
+
 def ols_fit(design: np.ndarray, response: np.ndarray) -> RegressionFit:
     """Least squares through a pivoted QR decomposition.
 
+    Calls LAPACK's ``geqp3``, ``orgqr`` and ``trtrs`` as
+    ``scipy.linalg.qr(mode="economic", pivoting=True)`` and
+    ``solve_triangular`` call them, so the results are theirs bit for bit.
     Raises :class:`RankDeficientError` naming the offending columns when the
-    design is not full column rank.
+    design is not full column rank, and ``ValueError`` for non-finite input.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -70,15 +87,28 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> RegressionFit:
     rows, cols = X.shape
     if rows <= cols:
         raise ValueError(f"need more rows than columns, got {rows}x{cols}")
-    Q, R, piv = qr(X, mode="economic", pivoting=True)
+    if cols == 0:
+        raise ValueError("design has no columns")
+    if not np.isfinite(X).all():
+        raise ValueError(_NON_FINITE)
+    qr, jpvt, tau = _lapack(dgeqp3, X)
+    piv = jpvt - 1
+    R = np.triu(qr[:cols])
     diag = np.abs(np.diag(R))
     with np.errstate(over="ignore"):  # an overflowing tolerance reports rank 0
-        tol = diag[0] * max(rows, cols) * np.finfo(float).eps if diag.size else 0.0
+        tol = diag[0] * max(rows, cols) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
     if rank < cols:
         raise RankDeficientError(sorted(int(c) for c in piv[rank:]))
+    (Q,) = _lapack(dorgqr, qr, tau, overwrite_a=1)
     qty = Q.T @ y
-    beta_piv = solve_triangular(R, qty)
+    # solve_triangular's own check: a non-finite response reaches every entry of Q'y
+    if not (np.isfinite(R).all() and np.isfinite(qty).all()):
+        raise ValueError(_NON_FINITE)
+    # R is C-ordered, so solve_triangular solves the transposed system of R.T
+    beta_piv, info = dtrtrs(R.T, qty, lower=1, trans=1)
+    if info:
+        raise ValueError(f"LAPACK trtrs failed with info {info}")
     beta = np.empty(cols)
     beta[piv] = beta_piv
     resid = y - X @ beta
@@ -144,6 +174,8 @@ _MARGIN = 1e3
 _EPS = float(np.finfo(float).eps)
 # smallest full-model RSS, as a share of resp'resp, that the fast path accepts
 _MIN_RSS_SHARE = 1e-10
+# largest unrestricted RSS, as a share of resp'resp, that the F test refuses as an exact fit
+_EXACT_FIT_SHARE = 1e-12
 # |r| gap below which two lags' correlations are recomputed with np.corrcoef
 _R_TIE = 1e-9
 
@@ -340,18 +372,23 @@ def _f_tests(y: np.ndarray, xs: np.ndarray, p: int) -> list[tuple[float, float] 
     if np.ptp(resp) == 0.0 or np.ptp(ylags) == 0.0:
         raise DegenerateSeriesError("target series constant on the estimation sample")
     constant_x = np.ptp(xlags, axis=(1, 2)) == 0.0
-    ones = np.ones((t_eff, 1))
-    restricted = _outcome(ols_fit, np.hstack([ones, ylags]), resp)
-    scale = max(1.0, float(resp @ resp))
+    restricted = _outcome(ols_fit, np.hstack([np.ones((t_eff, 1)), ylags]), resp)
+    exact_fit = _EXACT_FIT_SHARE * float(resp @ resp)
     d2 = t_eff - 2 * p - 1
+    # [1, ylags, xlags[i]] for every row i: one C-ordered design whose p
+    # keyword columns each row overwrites (another layout can change X @ beta)
+    design = np.empty((t_eff, 1 + 2 * p))
+    design[:, 0] = 1.0
+    design[:, 1 : p + 1] = ylags
 
     def f_test(i: int) -> tuple[float, float] | ValueError:
         if constant_x[i]:
             raise DegenerateSeriesError("predictor series constant on the estimation sample")
-        unrestricted = ols_fit(np.hstack([ones, ylags, xlags[i]]), resp)
+        design[:, p + 1 :] = xlags[i]
+        unrestricted = ols_fit(design, resp)
         if isinstance(restricted, ValueError):
             return restricted
-        if unrestricted.rss <= 1e-12 * scale:
+        if unrestricted.rss <= exact_fit:
             raise DegenerateSeriesError("unrestricted model fits exactly; F undefined")
         f_stat = ((restricted.rss - unrestricted.rss) / p) / (unrestricted.rss / d2)
         f_stat = max(0.0, f_stat)  # guard the nesting identity against rounding

@@ -79,6 +79,10 @@ class TestOlsFit:
         with pytest.raises(ValueError):
             ols_fit(np.ones((3, 4)), np.ones(3))
 
+    def test_design_without_columns_rejected(self):
+        with pytest.raises(ValueError, match="design has no columns"):
+            ols_fit(np.ones((5, 0)), np.arange(5.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["design", "response"])
     def test_non_finite_input_refused(self, rng, bad, where):
@@ -302,7 +306,7 @@ class TestGrangerTest:
     def test_scale_invariance_of_f_and_sign_flip(self, rng):
         y, x = ar_with_cross(rng, 200)
         f0, p0 = one_row(granger_test, y, x, 1)
-        for a, b in [(3.0, -2.0), (-0.5, 10.0), (100.0, 0.0)]:
+        for a, b in [(3.0, -2.0), (-0.5, 10.0), (100.0, 0.0), (1e-9, 0.0)]:
             f1, p1 = one_row(granger_test, a * y + b, x, 1)
             f2, p2 = one_row(granger_test, y, a * x + b, 1)
             assert f1 == pytest.approx(f0, rel=1e-8, abs=1e-8)

@@ -9,20 +9,23 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import unicodedata
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from datetime import timedelta
+from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbsflow
-from sbsflow import causality, config, pipeline
+from sbsflow import causality, config, pipeline, series
 from sbsflow.cli import main as cli_main
 from sbsflow.corpus import load_corpus
 from sbsflow.keywords import compile_canonical_map, fixture_path, load_stopwords, parse_registry
@@ -849,6 +852,115 @@ class TestStaleScoreDump:
         assert manifest["failed_stage"] == manifest["stages"][-1]["stage"] == "read_scores"
         assert manifest["artifacts"] == []
         assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
+
+
+def _set(column, text):
+    """A dump-row edit that puts ``text`` in ``column``."""
+    def edit(cells):
+        cells[pipeline._SCORES_HEADER.index(column)] = text
+    return edit
+
+
+class TestScoreDumpReader:
+    """The dump reader on the paper's size, 59 keywords over 192 windows
+    (11,328 rows): a plain row is taken in one check, and every other row
+    gets the located checks, with the messages they always gave."""
+
+    ROW = 5000  # the 0-based data row that a test edits, on line 5002 of window 84
+
+    @pytest.fixture(scope="class")
+    def dump(self, tmp_path_factory):
+        """(path, window starts, keywords, data rows) of a valid dump."""
+        rng = np.random.default_rng(11328)
+        starts = [(date(2017, 1, 2) + timedelta(weeks=i)).isoformat() for i in range(192)]
+        keywords = [f"keyword_{k:02d}" for k in range(59)]
+        rows = [
+            [str(idx), start, kw, format(float(rng.integers(0, 40)), "g"), *map(repr, rng.normal(size=6).tolist())]
+            for idx, start in enumerate(starts)
+            for kw in keywords
+        ]
+        path = tmp_path_factory.mktemp("dump") / SCORES_CSV
+        path.write_text("\n".join(map(",".join, [pipeline._SCORES_HEADER, *rows])) + "\n", encoding="utf-8")
+        return path, starts, keywords, rows
+
+    def _read_with(self, dump, tmp_path, edit):
+        """Read the dump with ``edit`` applied to a copy of row ``ROW``'s cells."""
+        path, starts, keywords, rows = dump
+        cells = list(rows[self.ROW])
+        edit(cells)
+        lines = [pipeline._SCORES_HEADER, *rows[: self.ROW], cells, *rows[self.ROW + 1 :]]
+        edited = tmp_path / SCORES_CSV
+        edited.write_text("\n".join(map(",".join, lines)) + "\n", encoding="utf-8")
+        return edited, pipeline._read_scores_csv(edited, starts, keywords)
+
+    def test_plain_dump_is_read_without_the_located_checks(self, dump):
+        path, starts, keywords, rows = dump
+        with mock.patch.object(pipeline, "_take_checked_row", wraps=pipeline._take_checked_row) as checked:
+            got = pipeline._read_scores_csv(path, starts, keywords)
+        assert checked.call_count == 0
+        assert [s.name for s in got] == keywords
+        assert [s.values[84] for s in got] == [float(row[-1]) for row in rows[84 * 59 : 85 * 59]]
+
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            (_set("z_diversity", "nan"), ", column 'z_diversity': expected a finite float, got 'nan'"),
+            (_set("prevalence_raw", "\u0661"), ", column 'prevalence_raw': expected a finite float, got '\u0661'"),
+            (_set("diversity_raw", " 1.5"), ", column 'diversity_raw': expected a finite float, got ' 1.5'"),
+            (_set("sbs", "1_5"), ", column 'sbs': expected a finite float, got '1_5'"),
+            (_set("window_index", "9" * 400),
+             " has window " + "9" * 400 + ", outside this config's windows 0..191; it was scored on another date range"),
+            (_set("week_start", "2017-01-03"),
+             " dates window 84 2017-01-03, this config 2018-08-13; it was scored on another date range"),
+            (_set("keyword", "keyword_43"), ": keyword 'keyword_43' appears twice in window 84"),
+            (lambda cells: cells.pop(), ": expected 10 cells, got 9"),
+        ],
+        ids=["nan", "arabic_indic_digit", "padded", "digit_separator", "window_past_float_range",
+             "other_week_start", "repeated_keyword", "nine_cells"],
+    )
+    def test_other_row_refused_at_its_line_and_column(self, dump, tmp_path, edit, refusal):
+        with pytest.raises(PipelineError) as err:
+            self._read_with(dump, tmp_path, edit)
+        assert str(err.value) == f"score dump {tmp_path / SCORES_CSV}, line {self.ROW + 2}" + refusal
+
+    @pytest.mark.parametrize("column, text", [
+        *(("sbs", t) for t in [
+            "1e999", "-1e999", "9" * 400, "1e308", "1e-400", "+1.5", "1.", ".5", "-0", "1E5", "0x10",
+            "inf", "-Infinity", "nan", "1e5.5", "--1", "", "1.5 ", "\t1.5", "1\u00a05", "\uff11",
+        ]),
+        *(("window_index", t) for t in ["+84", "084", "84.0", "8_4", "84e0", "-84"]),
+    ])
+    def test_a_cell_is_taken_exactly_where_the_number_rule_takes_it(self, dump, tmp_path, column, text):
+        parse = int if column == "window_index" else float
+        want = series.finite_number(text, parse)
+        if want is not None and column == "window_index" and want != 84:
+            want = None  # a readable window index other than the row's own is refused too
+        try:
+            _, got = self._read_with(dump, tmp_path, _set(column, text))
+        except PipelineError as exc:
+            assert want is None, exc
+        else:
+            assert want is not None
+            read = {s.name: s.values[84] for s in got}["keyword_44"]
+            assert read == (want if column == "sbs" else float(dump[3][self.ROW][-1]))
+
+    def test_finite_cells_whose_sum_overflows_are_taken(self, dump, tmp_path):
+        def edit(cells):
+            cells[3:5] = ["1e308", "1e308"]
+
+        _, got = self._read_with(dump, tmp_path, edit)
+        assert {s.name: s.values[84] for s in got}["keyword_44"] == float(dump[3][self.ROW][-1])
+
+    def test_reading_the_dump_peaks_below_4_mb(self, dump):
+        # the dump is 1.2 MB of text; held as a list of rows it would be about 8 MB
+        path, starts, keywords, _ = dump
+        tracemalloc.start()
+        try:
+            pipeline._read_scores_csv(path, starts, keywords)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCorpusChangedAfterIngest:

@@ -208,13 +208,15 @@ def _bic_lags(y: np.ndarray, xs: np.ndarray, p_max: int) -> list[int | ValueErro
     # the largest candidate fits 2 * p_max + 1 columns on T - p_max rows
     if T - p_max <= 2 * p_max + 1:
         raise ValueError(f"series too short: T={T} needs T > {3 * p_max + 1} for p_max={p_max}")
-    resp, ylags, xlags = lag_design(y, xs, p_max)
-    t_eff = len(resp)
+    t_eff = T - p_max
     k = 2 * p_max + 1
+    # lag_design's blocks, written straight into their columns of A
     A = np.empty((len(xs), t_eff, k + 1))
     A[:, :, 0] = 1.0
-    A[:, :, 1:k:2] = ylags
-    A[:, :, 2:k:2] = xlags
+    for j in range(1, p_max + 1):
+        A[:, :, 2 * j - 1] = y[p_max - j : T - j]
+        A[:, :, 2 * j] = xs[:, p_max - j : T - j]
+    resp = y[p_max:]
     A[:, :, k] = resp
     R = np.linalg.qr(A, mode="r")
     ks = 1 + 2 * np.arange(1, p_max + 1)  # columns of the models at lags 1..p_max
@@ -222,7 +224,7 @@ def _bic_lags(y: np.ndarray, xs: np.ndarray, p_max: int) -> list[int | ValueErro
     with np.errstate(all="ignore"):
         yty = float(resp @ resp)
         rss = np.cumsum(R[:, ::-1, k] ** 2, axis=1)[:, ::-1][:, ks]  # sums of squares of R[1+2p:, -1]
-        col_norm = np.sqrt((A[:, :, :k] ** 2).sum(axis=1)).max(axis=1)
+        col_norm = np.sqrt(np.einsum("ktj,ktj->kj", A[:, :, :k], A[:, :, :k])).max(axis=1)
         # a non-finite R would stop the SVD of the whole stack; its zeros fail the test below
         Rk = R[:, :k, :k]
         Rk = np.where(np.isfinite(Rk).all(axis=(1, 2))[:, None, None], Rk, 0.0)
@@ -238,8 +240,8 @@ def _bic_lags(y: np.ndarray, xs: np.ndarray, p_max: int) -> list[int | ValueErro
             & (np.count_nonzero(gaps > (t_eff * rss_err)[:, None], axis=1) == p_max - 1)
         )
     return [
-        int(b) + 1 if ok else _outcome(_select_lag_by_refits, resp, ylags, x_lags)
-        for x_lags, b, ok in zip(xlags, best, certified)
+        int(b) + 1 if ok else _outcome(_select_lag_by_refits, resp, A[0, :, 1:k:2], A[i, :, 2:k:2])
+        for i, (b, ok) in enumerate(zip(best, certified))
     ]
 
 

@@ -417,32 +417,6 @@ def _dump_number(cell: str, column: str, where: str, parse=float):
     return value
 
 
-def _take_checked_row(
-    row: list[str], where: str, starts: list[str], sbs_by_window: list[dict[str, float]]
-) -> None:
-    """Take one score-dump row's ``sbs`` into its window, or refuse the row
-    at ``where`` and the column at fault."""
-    if len(row) != len(_SCORES_HEADER):
-        raise PipelineError(f"{where}: expected {len(_SCORES_HEADER)} cells, got {len(row)}")
-    idx_cell, week_start, keyword, *cells = row
-    idx = _dump_number(idx_cell, "window_index", where, parse=int)
-    if not 0 <= idx < len(starts):
-        raise PipelineError(
-            f"{where} has window {idx}, outside this config's "
-            f"windows 0..{len(starts) - 1}; it was scored on another date range"
-        )
-    if week_start != starts[idx]:
-        raise PipelineError(
-            f"{where} dates window {idx} {week_start}, this config "
-            f"{starts[idx]}; it was scored on another date range"
-        )
-    window = sbs_by_window[idx]
-    if keyword in window:
-        raise PipelineError(f"{where}: keyword {keyword!r} appears twice in window {idx}")
-    values = [_dump_number(cell, c, where) for c, cell in zip(_SCORE_COLUMNS, cells)]
-    window[keyword] = values[-1]  # sbs; the battery reads no other column
-
-
 # a score-dump row's numeric cells joined by "," in the plain form that
 # series.finite_number reads as float or int: no whitespace, "_" or non-ASCII
 _PLAIN_NUMBERS = re.compile(r"[-+.,0-9eE]*")
@@ -464,11 +438,7 @@ def _plain_numbers(row: list[str]) -> tuple[int, float] | None:
 def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list[WeeklySeries]:
     """Each keyword's ``sbs`` series from a score dump, in ``keywords`` order,
     refusing a dump that is not UTF-8 text or does not hold one row of finite
-    numbers per window of ``starts`` and keyword, each dated with that window's start.
-
-    A plain row is taken in one check; any other row goes through the
-    located checks, which refuse it at its line and column or take it.
-    """
+    numbers per window of ``starts`` and keyword, each dated with that window's start."""
     n_windows = len(starts)
     sbs_by_window: list[dict[str, float]] = [{} for _ in range(n_windows)]
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -477,13 +447,34 @@ def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list
         if tuple(header) != _SCORES_HEADER:
             raise PipelineError(f"score dump {path}, line 1: header {header}, not {list(_SCORES_HEADER)}")
         for row in reader:
+            # a plain row is taken in one check, and any other row at the
+            # located checks, which refuse it at its line and column or take it
             plain = _plain_numbers(row)
             if plain is not None:
                 idx, sbs = plain
                 if 0 <= idx < n_windows and row[1] == starts[idx] and row[2] not in sbs_by_window[idx]:
                     sbs_by_window[idx][row[2]] = sbs
                     continue
-            _take_checked_row(row, f"score dump {path}, line {reader.line_num}", starts, sbs_by_window)
+            where = f"score dump {path}, line {reader.line_num}"
+            if len(row) != len(_SCORES_HEADER):
+                raise PipelineError(f"{where}: expected {len(_SCORES_HEADER)} cells, got {len(row)}")
+            idx_cell, week_start, keyword, *cells = row
+            idx = _dump_number(idx_cell, "window_index", where, parse=int)
+            if not 0 <= idx < n_windows:
+                raise PipelineError(
+                    f"{where} has window {idx}, outside this config's "
+                    f"windows 0..{n_windows - 1}; it was scored on another date range"
+                )
+            if week_start != starts[idx]:
+                raise PipelineError(
+                    f"{where} dates window {idx} {week_start}, this config "
+                    f"{starts[idx]}; it was scored on another date range"
+                )
+            window = sbs_by_window[idx]
+            if keyword in window:
+                raise PipelineError(f"{where}: keyword {keyword!r} appears twice in window {idx}")
+            values = [_dump_number(cell, c, where) for c, cell in zip(_SCORE_COLUMNS, cells)]
+            window[keyword] = values[-1]  # sbs; the battery reads no other column
     for idx, window in enumerate(sbs_by_window):
         if sorted(window) != keywords:
             missing = sorted(set(keywords) - set(window))

@@ -895,7 +895,7 @@ class TestScoreDumpReader:
 
     def test_plain_dump_is_read_without_the_located_checks(self, dump):
         path, starts, keywords, rows = dump
-        with mock.patch.object(pipeline, "_take_checked_row", wraps=pipeline._take_checked_row) as checked:
+        with mock.patch.object(pipeline, "_dump_number", wraps=pipeline._dump_number) as checked:
             got = pipeline._read_scores_csv(path, starts, keywords)
         assert checked.call_count == 0
         assert [s.name for s in got] == keywords

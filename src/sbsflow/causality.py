@@ -87,8 +87,8 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> RegressionFit:
     rows, cols = X.shape
     if rows <= cols:
         raise ValueError(f"need more rows than columns, got {rows}x{cols}")
-    if cols == 0:
-        raise ValueError("design has no columns")
+    if cols == 0:  # nothing to factor, and LAPACK's trtrs refuses an empty system
+        return RegressionFit(coefficients=np.empty(0), rss=float(y @ y), k=0)
     if not np.isfinite(X).all():
         raise ValueError(_NON_FINITE)
     qr, jpvt, tau = _lapack(dgeqp3, X)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .corpus import _COLUMNS, _FORMATS, IngestConfig
+from .corpus import _COLUMNS, _FORMATS, IngestConfig, not_utf8
 from .keywords import fixture_path
 from .stemming import _STEMMERS
 
@@ -114,6 +114,11 @@ def validate_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
     raw_bytes = path.read_bytes()
+    try:
+        # YAML's byte reader alone would also read UTF-16
+        raw_bytes.decode("utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path, lambda message: ConfigError([message]), f"config {path}") from None
     try:
         data = yaml.load(raw_bytes, Loader=_DatesAsText) or {}
     except yaml.YAMLError as exc:

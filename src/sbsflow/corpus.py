@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Document",
@@ -259,7 +259,7 @@ def _unreadable(path: Path, row: str, why: str | csv.Error) -> CorpusError:
     return CorpusError(message)
 
 
-def not_utf8(path: Path, error: type[Exception], what: str) -> Exception:
+def not_utf8(path: Path, error: Callable[[str], Exception], what: str) -> Exception:
     """``error`` saying that ``what``, the file at ``path``, is not UTF-8
     text, with the line of its first byte that is not."""
     raw = path.read_bytes()
@@ -270,14 +270,23 @@ def not_utf8(path: Path, error: type[Exception], what: str) -> Exception:
     return error(f"{what}: not UTF-8 text")
 
 
-def utf8_lines(fh: TextIO, error: type[Exception], what: str) -> Iterator[str]:
-    """The lines of ``fh``, a file opened as UTF-8 text; a byte that is not
-    UTF-8 raises ``not_utf8``'s refusal, since the file decodes in chunks
-    and so cannot say on which line it failed."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise not_utf8(Path(fh.name), error, what) from None
+def csv_rows(path: Path, error: Callable[[str], Exception], what: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` for each row of the UTF-8 CSV table at ``path``, at
+    the line where the row starts. A byte that is not UTF-8 raises
+    ``not_utf8``'s refusal, and a row that ``csv`` cannot read, as one with
+    a cell over its size limit, ``error`` naming ``what`` and that line."""
+    # utf-8-sig drops the byte-order mark some editors write at the start
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        reader, line = csv.reader(fh), 1
+        try:
+            for cells in reader:
+                yield line, cells
+                # a quoted cell may span lines: the next row starts after this one's last
+                line = reader.line_num + 1
+        except UnicodeDecodeError:
+            raise not_utf8(path, error, what) from None
+        except csv.Error as exc:
+            raise error(f"{what}, line {line}: {exc}") from None
 
 
 def load_corpus(

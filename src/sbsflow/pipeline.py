@@ -26,7 +26,7 @@ import scipy
 
 from . import causality, series, textproc
 from .config import ConfigError, RunConfig, validate_config
-from .corpus import WEEK, IndexEntry, IngestReport, assign_windows, build_windows, load_corpus, utf8_lines
+from .corpus import WEEK, IndexEntry, IngestReport, assign_windows, build_windows, csv_rows, load_corpus
 from .keywords import CanonicalMap, compile_canonical_map, load_stopwords, parse_registry
 from .series import WeeklySeries
 from .stemming import get_stemmer
@@ -437,44 +437,45 @@ def _plain_numbers(row: list[str]) -> tuple[int, float] | None:
 
 def _read_scores_csv(path: Path, starts: list[str], keywords: list[str]) -> list[WeeklySeries]:
     """Each keyword's ``sbs`` series from a score dump, in ``keywords`` order,
-    refusing a dump that is not UTF-8 text or does not hold one row of finite
-    numbers per window of ``starts`` and keyword, each dated with that window's start."""
+    refusing a dump that is not UTF-8 text, that ``csv`` cannot read or that
+    does not hold one row of finite numbers per window of ``starts`` and
+    keyword, each dated with that window's start; a row is located by the
+    line on which it starts."""
     n_windows = len(starts)
     sbs_by_window: list[dict[str, float]] = [{} for _ in range(n_windows)]
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(utf8_lines(fh, PipelineError, f"score dump {path}"))
-        header = next(reader, [])
-        if tuple(header) != _SCORES_HEADER:
-            raise PipelineError(f"score dump {path}, line 1: header {header}, not {list(_SCORES_HEADER)}")
-        for row in reader:
-            # a plain row is taken in one check, and any other row at the
-            # located checks, which refuse it at its line and column or take it
-            plain = _plain_numbers(row)
-            if plain is not None:
-                idx, sbs = plain
-                if 0 <= idx < n_windows and row[1] == starts[idx] and row[2] not in sbs_by_window[idx]:
-                    sbs_by_window[idx][row[2]] = sbs
-                    continue
-            where = f"score dump {path}, line {reader.line_num}"
-            if len(row) != len(_SCORES_HEADER):
-                raise PipelineError(f"{where}: expected {len(_SCORES_HEADER)} cells, got {len(row)}")
-            idx_cell, week_start, keyword, *cells = row
-            idx = _dump_number(idx_cell, "window_index", where, parse=int)
-            if not 0 <= idx < n_windows:
-                raise PipelineError(
-                    f"{where} has window {idx}, outside this config's "
-                    f"windows 0..{n_windows - 1}; it was scored on another date range"
-                )
-            if week_start != starts[idx]:
-                raise PipelineError(
-                    f"{where} dates window {idx} {week_start}, this config "
-                    f"{starts[idx]}; it was scored on another date range"
-                )
-            window = sbs_by_window[idx]
-            if keyword in window:
-                raise PipelineError(f"{where}: keyword {keyword!r} appears twice in window {idx}")
-            values = [_dump_number(cell, c, where) for c, cell in zip(_SCORE_COLUMNS, cells)]
-            window[keyword] = values[-1]  # sbs; the battery reads no other column
+    rows = csv_rows(path, PipelineError, f"score dump {path}")
+    _, header = next(rows, (1, []))
+    if tuple(header) != _SCORES_HEADER:
+        raise PipelineError(f"score dump {path}, line 1: header {header}, not {list(_SCORES_HEADER)}")
+    for line, row in rows:
+        # a plain row is taken in one check, and any other row at the
+        # located checks, which refuse it at its line and column or take it
+        plain = _plain_numbers(row)
+        if plain is not None:
+            idx, sbs = plain
+            if 0 <= idx < n_windows and row[1] == starts[idx] and row[2] not in sbs_by_window[idx]:
+                sbs_by_window[idx][row[2]] = sbs
+                continue
+        where = f"score dump {path}, line {line}"
+        if len(row) != len(_SCORES_HEADER):
+            raise PipelineError(f"{where}: expected {len(_SCORES_HEADER)} cells, got {len(row)}")
+        idx_cell, week_start, keyword, *cells = row
+        idx = _dump_number(idx_cell, "window_index", where, parse=int)
+        if not 0 <= idx < n_windows:
+            raise PipelineError(
+                f"{where} has window {idx}, outside this config's "
+                f"windows 0..{n_windows - 1}; it was scored on another date range"
+            )
+        if week_start != starts[idx]:
+            raise PipelineError(
+                f"{where} dates window {idx} {week_start}, this config "
+                f"{starts[idx]}; it was scored on another date range"
+            )
+        window = sbs_by_window[idx]
+        if keyword in window:
+            raise PipelineError(f"{where}: keyword {keyword!r} appears twice in window {idx}")
+        values = [_dump_number(cell, c, where) for c, cell in zip(_SCORE_COLUMNS, cells)]
+        window[keyword] = values[-1]  # sbs; the battery reads no other column
     for idx, window in enumerate(sbs_by_window):
         if sorted(window) != keywords:
             missing = sorted(set(keywords) - set(window))

@@ -9,7 +9,7 @@ through every knot exactly.
 """
 from __future__ import annotations
 
-import csv
+import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .corpus import utf8_lines
+from .corpus import csv_rows
 
 __all__ = [
     "MonthlySeries",
@@ -56,6 +56,10 @@ class WeeklySeries:
         return len(self.values)
 
 
+# a month cell once stripped: four and two ASCII digits, as "2017-01"
+_MONTH = re.compile(r"[0-9]{4}-[0-9]{2}")
+
+
 def _next_month(d: date) -> date:
     return date(d.year + 1, 1, 1) if d.month == 12 else date(d.year, d.month + 1, 1)
 
@@ -75,63 +79,60 @@ def load_monthly(path: str | Path) -> list[MonthlySeries]:
     """Parse ``month,series1,series2,...`` CSV with YYYY-MM months.
 
     Blank or repeated series names, names holding a carriage return, month
-    cells other than ASCII digits around one ``-``, month gaps, duplicate
-    months and value cells that ``finite_number`` refuses once stripped are
-    fatal, reported with their row and column; so is a file that is not
-    UTF-8 text, at its line.
+    cells other than four and two ASCII digits around one ``-``, month
+    gaps, duplicate months and value cells that ``finite_number`` refuses
+    once stripped are fatal, reported with the line on which their row
+    starts and their column; so are a file that is not UTF-8 text and a
+    row that ``csv`` cannot read, at their line.
     """
     path = Path(path)
-    # utf-8-sig drops the byte-order mark some editors write at the start
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(utf8_lines(fh, SeriesError, str(path)))
+    rows = csv_rows(path, SeriesError, str(path))
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise SeriesError(f"{path}: empty file")
+    if len(header) < 2 or header[0].strip().lower() != "month":
+        raise SeriesError(f"{path}: header must be 'month,<series>...', got {header}")
+    names = [h.strip() for h in header[1:]]
+    for name in names:
+        # CSV column numbers, the month column being 1
+        cols = [col for col, other in enumerate(names, start=2) if other == name]
+        if not name or len(cols) > 1:
+            what = "a blank series name" if not name else f"series {name!r} repeated"
+            raise SeriesError(f"{path}: header has {what} in columns {cols}")
+        # the artifact writers leave a lone \r unquoted, and a reader splits the row there
+        if "\r" in name:
+            raise SeriesError(
+                f"{path}: header has series {name!r} holding a carriage return in columns {cols}"
+            )
+    months: list[date] = []
+    columns: list[list[float]] = [[] for _ in names]
+    for row_no, row in rows:
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise SeriesError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SeriesError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0].strip().lower() != "month":
-            raise SeriesError(f"{path}: header must be 'month,<series>...', got {header}")
-        names = [h.strip() for h in header[1:]]
-        for name in names:
-            # CSV column numbers, the month column being 1
-            cols = [col for col, other in enumerate(names, start=2) if other == name]
-            if not name or len(cols) > 1:
-                what = "a blank series name" if not name else f"series {name!r} repeated"
-                raise SeriesError(f"{path}: header has {what} in columns {cols}")
-            # the artifact writers leave a lone \r unquoted, and a reader splits the row there
-            if "\r" in name:
+            # int alone reads "_" separators, padding, non-ASCII digits and any number of them
+            if not _MONTH.fullmatch(cell := row[0].strip()):
+                raise ValueError(cell)
+            m = date(int(cell[:4]), int(cell[5:]), 1)
+        except ValueError:
+            raise SeriesError(f"{path}: row {row_no}: bad month {row[0]!r}") from None
+        if months:
+            expected = _next_month(months[-1])
+            if m == months[-1]:
+                raise SeriesError(f"{path}: row {row_no}: duplicate month {row[0]}")
+            if m != expected:
                 raise SeriesError(
-                    f"{path}: header has series {name!r} holding a carriage return in columns {cols}"
+                    f"{path}: row {row_no}: month gap, expected "
+                    f"{expected:%Y-%m} after {months[-1]:%Y-%m}, got {row[0]}"
                 )
-        months: list[date] = []
-        columns: list[list[float]] = [[] for _ in names]
-        for row_no, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise SeriesError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
-            try:
-                year, month = row[0].strip().split("-")
-                # int also reads "_" separators, padding and non-ASCII digits
-                if not all(part.isascii() and part.isdigit() for part in (year, month)):
-                    raise ValueError(row[0])
-                m = date(int(year), int(month), 1)
-            except ValueError:
-                raise SeriesError(f"{path}: row {row_no}: bad month {row[0]!r}") from None
-            if months:
-                expected = _next_month(months[-1])
-                if m == months[-1]:
-                    raise SeriesError(f"{path}: row {row_no}: duplicate month {row[0]}")
-                if m != expected:
-                    raise SeriesError(
-                        f"{path}: row {row_no}: month gap, expected "
-                        f"{expected:%Y-%m} after {months[-1]:%Y-%m}, got {row[0]}"
-                    )
-            months.append(m)
-            for col, cell in enumerate(row[1:]):
-                v = finite_number(cell.strip())
-                if v is None:
-                    raise SeriesError(f"{path}: row {row_no}, column {names[col]!r}: non-numeric cell {cell!r}")
-                columns[col].append(v)
+        months.append(m)
+        for col, cell in enumerate(row[1:]):
+            v = finite_number(cell.strip())
+            if v is None:
+                raise SeriesError(f"{path}: row {row_no}, column {names[col]!r}: non-numeric cell {cell!r}")
+            columns[col].append(v)
     return [
         MonthlySeries(name=name, months=tuple(months), values=tuple(col))
         for name, col in zip(names, columns)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
@@ -203,6 +204,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             validate_config(bad)
         assert len(err.value.failures) == 1 and err.value.failures[0].startswith(failure)
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+    def test_config_that_is_not_utf8_refused_at_its_line(self, fixture, tmp_path, capsys, encoding):
+        # YAML refused Latin-1 at a byte position and read UTF-16, which no other input is
+        text = _rewritten_config(fixture) + "# città\n"
+        line = text.count("\n") if encoding == "latin-1" else 1  # UTF-16 opens with a byte-order mark
+        bad = tmp_path / "cfg.yaml"
+        bad.write_text(text, encoding=encoding)
+        assert cli_main(["validate", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == f"invalid configuration:\n  - config {bad}, line {line}: not UTF-8 text\n"
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -846,6 +857,19 @@ class TestStaleScoreDump:
         assert f"score dump {out / SCORES_CSV}, line 4: not UTF-8 text" in capsys.readouterr().err
         self._assert_refused_at_read_scores(out, before)
 
+    def test_cell_over_the_csv_limit_refused_at_its_line(self, fixture, scored_and_tested, tmp_path, capsys):
+        # csv.Error stopped the run as "pipeline failed: field larger than field limit (131072)"
+        lines = (scored_and_tested / SCORES_CSV).read_text().splitlines()
+        i = next(n for n, line in enumerate(lines) if line.split(",")[2] == "covid")
+        edit = _ending_covid_row("," + "1" * 200_000)
+        rc, out, before = self._test_with(fixture, scored_and_tested, tmp_path, edit_dump=lambda lines: edit(lines, i))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"pipeline failed: score dump {out / SCORES_CSV}, line {i + 1}: "
+            f"field larger than field limit ({csv.field_size_limit()})\n"
+        )
+        self._assert_refused_at_read_scores(out, before)
+
     @staticmethod
     def _assert_refused_at_read_scores(out, before):
         manifest = json.loads((out / MANIFEST_JSON).read_text())
@@ -950,6 +974,29 @@ class TestScoreDumpReader:
 
         _, got = self._read_with(dump, tmp_path, edit)
         assert {s.name: s.values[84] for s in got}["keyword_44"] == float(dump[3][self.ROW][-1])
+
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            (_set("sbs", "1" * 200_000), f": field larger than field limit ({csv.field_size_limit()})"),
+            # the row ends on the next line, where the refusal was
+            (lambda cells: cells.append('"a\nb"'), ": expected 10 cells, got 11"),
+            (_set("keyword", '"keyword_44\n' + "x" * 200_000 + '"'),
+             f": field larger than field limit ({csv.field_size_limit()})"),
+        ],
+        ids=["cell_over_the_csv_limit", "row_over_two_lines", "row_over_two_lines_past_the_csv_limit"],
+    )
+    def test_row_refused_at_the_line_where_it_starts(self, dump, tmp_path, edit, refusal):
+        with pytest.raises(PipelineError) as err:
+            self._read_with(dump, tmp_path, edit)
+        assert str(err.value) == f"score dump {tmp_path / SCORES_CSV}, line {self.ROW + 2}" + refusal
+
+    def test_dump_with_a_byte_order_mark_is_read_like_a_plain_one(self, dump, tmp_path):
+        # the mark was read as part of the header's first cell, and the dump refused
+        path, starts, keywords, _ = dump
+        marked = tmp_path / SCORES_CSV
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert pipeline._read_scores_csv(marked, starts, keywords) == pipeline._read_scores_csv(path, starts, keywords)
 
     def test_reading_the_dump_peaks_below_4_mb(self, dump):
         # the dump is 1.2 MB of text; held as a list of rows it would be about 8 MB

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from datetime import date, timedelta
 
 import numpy as np
@@ -87,9 +88,9 @@ class TestLoadMonthly:
             load_monthly(p)
         assert str(err.value) == f"{p}: row 3, column 'climate': non-numeric cell {cell!r}"
 
-    @pytest.mark.parametrize("cell", ["20_17-01", "2017-0_2", "２０１７-03", "2017 - 04"])
+    @pytest.mark.parametrize("cell", ["20_17-01", "2017-0_2", "２０１７-03", "2017 - 04", "2017-1", "17-01", "02017-01"])
     def test_month_other_than_ascii_digits_fatal(self, tmp_path, cell):
-        # int alone reads "_" separators, padding and full-width digits
+        # int alone reads "_" separators, padding, full-width digits and any number of them
         p = tmp_path / "m.csv"
         p.write_text(f"month,climate\n{cell},1\n", encoding="utf-8")
         with pytest.raises(SeriesError) as err:
@@ -106,6 +107,22 @@ class TestLoadMonthly:
         with pytest.raises(SeriesError) as err:
             load_monthly(p)
         assert str(err.value) == f"{p}, line {bad_row}: not UTF-8 text"
+
+    def test_row_over_two_lines_refused_at_its_first_line(self, tmp_path):
+        # a quoted cell may hold a line break; the rows were counted, not the lines
+        p = tmp_path / "m.csv"
+        p.write_text('month,climate\n2017-01,"1\n"\n2017-02,"x\ny"\n', encoding="utf-8")
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}: row 4, column 'climate': non-numeric cell 'x\\ny'"
+
+    def test_cell_over_the_csv_limit_refused_at_the_line_where_its_row_starts(self, tmp_path):
+        # csv.Error stopped the run with a message that named no file or line
+        p = tmp_path / "m.csv"
+        p.write_text(f'month,climate\n2017-01,1\n2017-02,"1\n{"1" * 200_000}"\n', encoding="utf-8")
+        with pytest.raises(SeriesError) as err:
+            load_monthly(p)
+        assert str(err.value) == f"{p}, line 3: field larger than field limit ({csv.field_size_limit()})"
 
     @pytest.mark.parametrize(
         "text, refusal",

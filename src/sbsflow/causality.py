@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
+from ._flapack import dgeqp3, dorgqr, dtrtrs
 from .series import WeeklySeries
 
 __all__ = [
@@ -76,7 +76,9 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> RegressionFit:
 
     Calls LAPACK's ``geqp3``, ``orgqr`` and ``trtrs`` as
     ``scipy.linalg.qr(mode="economic", pivoting=True)`` and
-    ``solve_triangular`` call them, so the results are theirs bit for bit.
+    ``solve_triangular`` call them, so the results are theirs bit for bit;
+    the routines come from scipy's LAPACK extension without importing
+    ``scipy.linalg`` (:mod:`sbsflow._flapack`).
     Raises :class:`RankDeficientError` naming the offending columns when the
     design is not full column rank, and ``ValueError`` for non-finite input.
     """

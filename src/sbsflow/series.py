@@ -15,8 +15,8 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._flapack import dgtsv
 from .corpus import csv_rows
 
 __all__ = [
@@ -160,9 +160,10 @@ def _natural_spline(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarra
 
     Reproduces ``scipy.interpolate.CubicSpline(x, y, bc_type="natural")(grid)``
     operation for operation, so the values are the same floats: the same
-    banded system for the knot slopes, the same Hermite coefficients, and
-    PPoly's evaluation order on the interval holding each point (the end
-    intervals extend beyond the knots).
+    banded system for the knot slopes, solved by LAPACK's ``gtsv`` with the
+    arguments ``scipy.linalg.solve_banded`` gives it, the same Hermite
+    coefficients, and PPoly's evaluation order on the interval holding each
+    point (the end intervals extend beyond the knots).
     """
     n = len(x)
     dx = np.diff(x)
@@ -177,9 +178,12 @@ def _natural_spline(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarra
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[0] = 3 * (y[1] - y[0])
     b[-1] = 3 * (y[-1] - y[-2])
-    s = solve_banded(
-        (1, 1), A, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True, check_finite=False
-    ).reshape(n)
+    # solve_banded's one LAPACK call for a (1, 1) band, with its errors
+    *_, s, info = dgtsv(A[2, :-1], A[1], A[0, 1:], b, 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv/gtsv")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c0 = t / dx
     c1 = (slope - s[:-1]) / dx - t

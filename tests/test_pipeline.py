@@ -1165,11 +1165,12 @@ class TestCli:
         assert "window_size" in capsys.readouterr().err
 
     @staticmethod
-    def _after(argv: list[str], **env: str) -> dict:
+    def _after(argv: list[str], probe: str = "None", **env: str) -> dict:
         """What a fresh interpreter holds after ``sbsflow <argv>`` succeeds under
         ``env``: its ``modules`` (so modules imported by the suite do not count),
-        its ``OPENBLAS_NUM_THREADS`` and its ``threads`` (None where there is no
-        ``/proc/self/task``). ``OPENBLAS_NUM_THREADS`` is unset unless given."""
+        its ``OPENBLAS_NUM_THREADS``, its ``threads`` (None where there is no
+        ``/proc/self/task``) and the value of the expression ``probe``.
+        ``OPENBLAS_NUM_THREADS`` is unset unless given."""
         code = (
             "import json, os, sys\n"
             "from sbsflow.cli import main\n"
@@ -1179,6 +1180,7 @@ class TestCli:
             "    'modules': sorted(sys.modules),\n"
             "    'OPENBLAS_NUM_THREADS': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
             "    'threads': len(os.listdir(tasks)) if os.path.isdir(tasks) else None,\n"
+            f"    'probe': {probe},\n"
             "}))\n"
         )
         src = str(Path(sbsflow.__file__).parents[1])
@@ -1195,19 +1197,27 @@ class TestCli:
         modules = self._after(["validate", "--config", str(fixture.config_path)])["modules"]
         assert sorted(m for m in modules if m.startswith(("numpy", "scipy"))) == []
 
-    def test_test_loads_neither_network_nor_special_nor_sparse(self, fixture, tmp_path):
+    def test_test_loads_the_lapack_extension_but_not_linalg_network_special_or_sparse(
+        self, fixture, tmp_path
+    ):
         out = str(tmp_path / "o")
         assert cli_main(["score", "--config", str(fixture.config_path), "--out", out]) == 0
         modules = self._after(["test", "--config", str(fixture.config_path), "--out", out])["modules"]
-        assert "scipy.linalg" in modules  # the battery's least squares
-        loaded = {"scipy.special", "scipy.sparse", "sbsflow.network"} & modules
+        assert "scipy.linalg._flapack" in modules  # the battery's least squares and the spline
+        loaded = {"scipy.linalg", "scipy.special", "scipy.sparse", "sbsflow.network"} & modules
         assert loaded == set()
 
     def test_run_loads_no_special(self, fixture, tmp_path):
         argv = ["run", "--config", str(fixture.config_path), "--out", str(tmp_path / "o")]
-        modules = self._after(argv)["modules"]
-        assert "scipy.sparse" in modules  # betweenness distances
-        assert "scipy.special" not in modules
+        # scipy.linalg, loaded by scipy.sparse.csgraph, reuses the extension the battery calls
+        one_extension = (
+            "sys.modules['scipy.linalg.lapack']._flapack is sys.modules['scipy.linalg._flapack'] "
+            "and sys.modules['scipy.linalg.lapack'].dgeqp3 is sys.modules['sbsflow.causality'].dgeqp3"
+        )
+        after = self._after(argv, probe=one_extension)
+        assert "scipy.sparse" in after["modules"]  # betweenness distances
+        assert "scipy.special" not in after["modules"]
+        assert after["probe"] is True
 
     def test_run_keeps_one_blas_thread(self, fixture, tmp_path):
         # serial: OpenBLAS stops its helper threads before a fork, so only a

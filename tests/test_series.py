@@ -273,6 +273,23 @@ class TestDisaggregate:
         weekly = disaggregate(m, windows)
         assert list(map(repr, weekly.values)) == list(map(repr, expected.tolist()))
 
+    def test_three_knots_equal_scipy_natural_spline(self):
+        # the smallest system the spline solves, at the fewest knots disaggregate takes
+        from scipy.interpolate import CubicSpline
+
+        m = monthly("s", (2021, 2), [1.0, -2.5, 0.75])
+        weekly = disaggregate(m, self.windows)
+        expected = CubicSpline([0, 4, 9], m.values, bc_type="natural")(np.arange(11.0))
+        assert np.array(weekly.values).tobytes() == expected.tobytes()
+
+    def test_singular_system_raises_scipys_error(self):
+        # coincident knots zero the banded system, which solve_banded refuses the same way
+        from sbsflow.series import _natural_spline
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+                _natural_spline(np.zeros(3), np.ones(3), np.arange(3.0))
+
     def test_c2_continuity_at_knots(self):
         # a check on the reference that test_equals_scipy_natural_spline
         # compares disaggregate with
